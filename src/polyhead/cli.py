@@ -14,10 +14,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from . import data as datamod
 from . import losses, metrics, network
@@ -32,15 +29,6 @@ EXIT_IO = 3
 
 class ConfigError(ValueError):
     pass
-
-
-@dataclass
-class _RowsHead:
-    """Duck-typed stand-in for ClassifierWeights in geometry reports."""
-    rows: np.ndarray
-    num_classes: int
-    dim: int
-    phi: float
 
 
 def _require_keys(section: dict, allowed: set, required: set, where: str) -> None:
@@ -153,6 +141,7 @@ def _run_train(config: dict, out_dir: Path) -> int:
     if trainable:
         model = network.init_model(dataset.inputs.shape[1], hidden, None, seed,
                                    trainable_classes=weights.num_classes)
+        model.head.phi = weights.phi  # the polytope the baseline stands in for
     else:
         model = network.init_model(dataset.inputs.shape[1], hidden, weights, seed)
     model, log = network.train(model, dataset, train_cfg)
@@ -173,8 +162,7 @@ def _run_train(config: dict, out_dir: Path) -> int:
 
     feats, _, _ = network.forward(model, dataset.inputs)
     preds = network.predict(model, dataset.inputs)
-    head = weights if not trainable else _trainable_head_shim(model, weights.phi)
-    report = metrics.geometry_report(head, feats, dataset.labels, preds)
+    report = metrics.geometry_report(model.head, feats, dataset.labels, preds)
     report.save(out_dir / "geometry.json")
     metrics.export_scatter(feats, dataset.labels, False, out_dir / "features.csv")
     metrics.export_scatter(feats, dataset.labels, True,
@@ -185,12 +173,6 @@ def _run_train(config: dict, out_dir: Path) -> int:
     print(f"min_pairwise_mean_angle={report.min_pairwise_mean_angle:.6f} "
           f"phi={report.phi:.6f}")
     return EXIT_OK
-
-
-def _trainable_head_shim(model: network.MlpModel, phi: float) -> _RowsHead:
-    rows = model.head.rows
-    unit = rows / np.linalg.norm(rows, axis=1, keepdims=True)
-    return _RowsHead(unit, rows.shape[0], rows.shape[1], phi)
 
 
 def cmd_train(args) -> int:
@@ -246,11 +228,7 @@ def cmd_eval(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     preds = network.predict(model, dataset.inputs)
-    if isinstance(model.head, network.FixedHead):
-        head = model.head.weights
-    else:
-        head = _trainable_head_shim(model, math.nan)
-    report = metrics.geometry_report(head, feats, dataset.labels, preds)
+    report = metrics.geometry_report(model.head, feats, dataset.labels, preds)
     print(f"accuracy={report.accuracy:.4f}")
     print(f"min_pairwise_mean_angle={report.min_pairwise_mean_angle:.6f}")
     if args.out:

@@ -7,7 +7,6 @@ means on simplex directions, and deterministic per-epoch mini-batching.
 
 from __future__ import annotations
 
-import csv
 import struct
 from dataclasses import dataclass
 from typing import Iterator
@@ -140,12 +139,3 @@ def batches(data: LabeledBatch, batch_size: int, seed: int,
     for start in range(0, len(data), batch_size):
         idx = perm[start:start + batch_size]
         yield LabeledBatch(data.inputs[idx], data.labels[idx])
-
-
-def export_csv(data: LabeledBatch, path) -> None:
-    """CSV rows ``label,x0,x1,...``."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label"] + [f"x{i}" for i in range(data.inputs.shape[1])])
-        for label, row in zip(data.labels, data.inputs):
-            writer.writerow([int(label)] + [repr(float(v)) for v in row])

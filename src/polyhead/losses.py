@@ -1,12 +1,17 @@
 """Softmax loss family over polytope classifier heads.
 
-Four variants, each returning the batch-mean loss and the analytic
-gradient with respect to the raw feature batch:
+One cross-entropy over the logits ``s * g(f) . h(w_j)``, returning the
+batch-mean loss and the analytic gradient with respect to the raw
+feature batch (and, on request, the raw head rows).  ``g`` unit-normalizes
+the features and ``h`` the head rows; a fixed head's rows are unit
+already.  With a margin ``m > 0`` the target logit becomes
+``s * cos(theta_y + m)``.  The four loss kinds set these switches:
 
-  * plain cross-entropy on arbitrary logits (with optional bias),
-  * cross-entropy on inner products against fixed unit weights,
-  * scale-kappa cross-entropy on unit-normalized features (cosine logits),
-  * additive angular margin on the target-class cosine.
+  kind            g    h    s      m
+  PlainCE         no   no   1      0
+  FixedSoftmax    no   yes  1      0
+  NormScaled      yes  yes  kappa  0
+  AngularMargin   yes  yes  kappa  m
 
 The scaled variants read as von Mises-Fisher class-conditionals with
 concentration kappa; kappa defaults to 30 and is never trained.
@@ -20,7 +25,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .polytope import ClassifierWeights
+from .polytope import ClassifierWeights, PolytopeKind
 
 KAPPA_DEFAULT = 30.0
 NORM_FLOOR = 1e-12
@@ -85,10 +90,56 @@ class LossResult:
     grad_weights: Optional[np.ndarray] = None  # dL/d(raw head rows), trainable heads only
 
 
-def _rows_of(weights) -> np.ndarray:
-    if isinstance(weights, ClassifierWeights):
-        return weights.rows
-    return np.asarray(weights, dtype=np.float64)
+def _normalize(v: np.ndarray, what: str):
+    """Rows of ``v`` scaled to unit length, and their norms."""
+    norms = np.linalg.norm(v, axis=1, keepdims=True)
+    if np.any(norms <= NORM_FLOOR):
+        raise DegenerateFeatureError(
+            f"{what} norm at or below {NORM_FLOOR}; cannot normalize")
+    return v / norms, norms
+
+
+def _chain_normalization(grad_unit: np.ndarray, unit: np.ndarray,
+                         norms: np.ndarray) -> np.ndarray:
+    # Jacobian of v -> v/|v| applied to grad_unit: (I - u u^T)/|v|
+    radial = (grad_unit * unit).sum(axis=1, keepdims=True)
+    return (grad_unit - radial * unit) / norms
+
+
+@dataclass
+class Head:
+    """Classifier rows: fixed polytope vertices or the trainable baseline.
+
+    A fixed head's rows are the polytope's unit vertices and never move.
+    A trainable head's rows are raw parameters that the optimizer updates;
+    every angular use of them goes through ``unit_rows``.
+    """
+    rows: np.ndarray   # (K, d)
+    trainable: bool
+    phi: float         # vertex angle of the polytope; nan when unknown
+    kind: Optional[PolytopeKind] = None  # polytope family of a fixed head
+
+    @classmethod
+    def of(cls, weights) -> "Head":
+        """A Head as given, or the fixed head on a ClassifierWeights."""
+        if isinstance(weights, Head):
+            return weights
+        return cls(weights.rows, False, weights.phi, weights.kind)
+
+    @property
+    def num_classes(self) -> int:
+        return self.rows.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.rows.shape[1]
+
+    def unit_rows(self):
+        """Unit rows and their norms; the norms are None for a fixed head,
+        whose rows are unit already."""
+        if not self.trainable:
+            return self.rows, None
+        return _normalize(self.rows, "trainable head row")
 
 
 def _check_labels(labels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -102,7 +153,7 @@ def logits(weights: ClassifierWeights, features: np.ndarray,
            bias: Optional[np.ndarray] = None) -> np.ndarray:
     """Inner-product scores z[n, j] = w_j . f_n + b_j (bias defaults to 0)."""
     features = np.asarray(features, dtype=np.float64)
-    rows = _rows_of(weights)
+    rows = weights.rows
     if features.ndim != 2 or features.shape[1] != rows.shape[1]:
         raise DimensionError(
             f"feature dim {features.shape} incompatible with head dim {rows.shape[1]}")
@@ -136,113 +187,22 @@ def plain_ce(z: np.ndarray, labels: np.ndarray) -> LossResult:
 def fixed_softmax_loss(weights, features: np.ndarray, labels: np.ndarray,
                        want_weight_grad: bool = False) -> LossResult:
     """Cross-entropy over raw-feature inner products with unit head rows."""
-    rows, unit_rows, chain = _unit_rows(weights)
-    z = np.asarray(features, dtype=np.float64) @ unit_rows.T
-    res = plain_ce(z, labels)
-    grad_z = res.grad_features
-    res.grad_features = grad_z @ unit_rows
-    if want_weight_grad:
-        res.grad_weights = chain(grad_z.T @ np.asarray(features, dtype=np.float64))
-    return res
-
-
-def _normalize_features(features: np.ndarray):
-    features = np.asarray(features, dtype=np.float64)
-    norms = np.linalg.norm(features, axis=1, keepdims=True)
-    if np.any(norms <= NORM_FLOOR):
-        raise DegenerateFeatureError(
-            f"feature norm at or below {NORM_FLOOR}; cannot normalize")
-    return features, norms, features / norms
-
-
-def _chain_normalization(grad_unit: np.ndarray, unit: np.ndarray,
-                         norms: np.ndarray) -> np.ndarray:
-    # Jacobian of v -> v/|v| applied to grad_unit: (I - u u^T)/|v|
-    radial = (grad_unit * unit).sum(axis=1, keepdims=True)
-    return (grad_unit - radial * unit) / norms
-
-
-def _unit_rows(weights):
-    """Unit head rows plus a chain closure mapping d/d(unit) to d/d(raw).
-
-    Fixed heads (ClassifierWeights) are unit already; the closure is then
-    the identity and its output is unused.
-    """
-    rows = _rows_of(weights)
-    if isinstance(weights, ClassifierWeights):
-        return rows, rows, lambda g: g
-    norms = np.linalg.norm(rows, axis=1, keepdims=True)
-    if np.any(norms <= NORM_FLOOR):
-        raise DegenerateFeatureError("trainable head row with near-zero norm")
-    unit = rows / norms
-
-    def chain(grad_unit: np.ndarray) -> np.ndarray:
-        radial = (grad_unit * unit).sum(axis=1, keepdims=True)
-        return (grad_unit - radial * unit) / norms
-
-    return rows, unit, chain
+    return evaluate(FixedSoftmax(), weights, features, labels, want_weight_grad)
 
 
 def norm_scaled_loss(weights, features: np.ndarray, labels: np.ndarray,
                      kappa: float = KAPPA_DEFAULT,
                      want_weight_grad: bool = False) -> LossResult:
     """Cross-entropy on kappa-scaled cosine logits kappa * cos(theta_j)."""
-    if kappa <= 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
-    rows, unit_rows, chain = _unit_rows(weights)
-    features, norms, unit_f = _normalize_features(features)
-    if unit_f.shape[1] != unit_rows.shape[1]:
-        raise DimensionError(
-            f"feature dim {unit_f.shape[1]} != head dim {unit_rows.shape[1]}")
-    z = kappa * (unit_f @ unit_rows.T)
-    res = plain_ce(z, labels)
-    grad_cos = kappa * res.grad_features
-    res.grad_features = _chain_normalization(grad_cos @ unit_rows, unit_f, norms)
-    if want_weight_grad:
-        res.grad_weights = chain(grad_cos.T @ unit_f)
-    return res
+    return evaluate(NormScaled(kappa), weights, features, labels, want_weight_grad)
 
 
 def margin_loss(weights, features: np.ndarray, labels: np.ndarray,
                 kappa: float = KAPPA_DEFAULT, m: float = 0.0,
                 want_weight_grad: bool = False) -> LossResult:
-    """Additive angular margin: the target-class logit is kappa*cos(theta_y + m).
-
-    cos(theta_y + m) is computed with the angle-addition identity on the
-    clipped cosine, so m = 0 reduces exactly to the scaled-cosine loss.
-    Past theta_y + m = pi the logit is held at -kappa with zero slope, and
-    the d cos(theta+m)/d cos(theta) factor uses a sin(theta) floor.
-    """
-    if not (0.0 <= m < math.pi):
-        raise MarginError(f"margin must lie in [0, pi), got {m}")
-    if kappa <= 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
-    rows, unit_rows, chain = _unit_rows(weights)
-    features, norms, unit_f = _normalize_features(features)
-    if unit_f.shape[1] != unit_rows.shape[1]:
-        raise DimensionError(
-            f"feature dim {unit_f.shape[1]} != head dim {unit_rows.shape[1]}")
-    cos = unit_f @ unit_rows.T
-    labels = _check_labels(labels, unit_rows.shape[0])
-    idx = np.arange(cos.shape[0])
-
-    cos_m, sin_m = math.cos(m), math.sin(m)
-    c_y = np.clip(cos[idx, labels], -1.0, 1.0)
-    sin_y = np.sqrt(np.maximum(0.0, 1.0 - c_y * c_y))
-    past_pi = (m > 0.0) & (c_y < -cos_m)  # theta_y + m > pi
-    cos_shift = np.where(past_pi, -1.0, c_y * cos_m - sin_y * sin_m)
-    slope = np.where(past_pi, 0.0,
-                     cos_m + sin_m * c_y / np.maximum(sin_y, SIN_FLOOR))
-
-    z = kappa * cos
-    z[idx, labels] = kappa * cos_shift
-    res = plain_ce(z, labels)
-    grad_cos = kappa * res.grad_features
-    grad_cos[idx, labels] *= slope
-    res.grad_features = _chain_normalization(grad_cos @ unit_rows, unit_f, norms)
-    if want_weight_grad:
-        res.grad_weights = chain(grad_cos.T @ unit_f)
-    return res
+    """Additive angular margin: the target-class logit is kappa*cos(theta_y + m)."""
+    return evaluate(AngularMargin(kappa, m), weights, features, labels,
+                    want_weight_grad)
 
 
 def maximal_margin(weights: ClassifierWeights) -> float:
@@ -250,30 +210,63 @@ def maximal_margin(weights: ClassifierWeights) -> float:
     return weights.phi
 
 
+def _switches(kind: LossKind) -> tuple:
+    """(normalize features, normalize rows, scale, margin) of a loss kind."""
+    if isinstance(kind, PlainCE):
+        return False, False, 1.0, 0.0
+    if isinstance(kind, FixedSoftmax):
+        return False, True, 1.0, 0.0
+    if isinstance(kind, NormScaled):
+        return True, True, kind.kappa, 0.0
+    if isinstance(kind, AngularMargin):
+        return True, True, kind.kappa, kind.m
+    raise TypeError(f"unknown loss kind {kind!r}")
+
+
 def evaluate(kind: LossKind, weights, features: np.ndarray, labels: np.ndarray,
              want_weight_grad: bool = False) -> LossResult:
-    """Dispatch a loss kind against a head (fixed or raw trainable rows)."""
-    if isinstance(kind, PlainCE):
-        rows = _rows_of(weights)
-        features = np.asarray(features, dtype=np.float64)
-        if features.shape[1] != rows.shape[1]:
-            raise DimensionError(
-                f"feature dim {features.shape[1]} != head dim {rows.shape[1]}")
-        res = plain_ce(features @ rows.T, labels)
-        grad_z = res.grad_features
-        res.grad_features = grad_z @ rows
-        if want_weight_grad:
-            res.grad_weights = grad_z.T @ features
-        return res
-    if isinstance(kind, FixedSoftmax):
-        return fixed_softmax_loss(weights, features, labels, want_weight_grad)
-    if isinstance(kind, NormScaled):
-        return norm_scaled_loss(weights, features, labels, kind.kappa,
-                                want_weight_grad)
-    if isinstance(kind, AngularMargin):
-        return margin_loss(weights, features, labels, kind.kappa, kind.m,
-                           want_weight_grad)
-    raise TypeError(f"unknown loss kind {kind!r}")
+    """Cross-entropy over ``s * g(f) . h(w_j)`` for a head or ClassifierWeights.
+
+    With ``m > 0`` the target logit is ``s * cos(theta_y + m)``, computed
+    with the angle-addition identity on the clipped cosine.  Past
+    theta_y + m = pi that logit is held at -s with zero slope, and the
+    d cos(theta+m)/d cos(theta) factor uses a sin(theta) floor.
+    """
+    normalize_features, normalize_rows, scale, m = _switches(kind)
+    head = Head.of(weights)
+    rows, row_norms = head.unit_rows() if normalize_rows else (head.rows, None)
+    f = np.asarray(features, dtype=np.float64)
+    if f.ndim != 2 or f.shape[1] != head.dim:
+        raise DimensionError(f"feature dim {f.shape} != head dim {head.dim}")
+    if normalize_features:
+        f, norms = _normalize(f, "feature")
+    labels = _check_labels(labels, head.num_classes)
+
+    cos = f @ rows.T
+    z = scale * cos
+    if m > 0.0:
+        idx = np.arange(cos.shape[0])
+        cos_m, sin_m = math.cos(m), math.sin(m)
+        c_y = np.clip(cos[idx, labels], -1.0, 1.0)
+        sin_y = np.sqrt(np.maximum(0.0, 1.0 - c_y * c_y))
+        past_pi = c_y < -cos_m  # theta_y + m > pi
+        z[idx, labels] = scale * np.where(past_pi, -1.0,
+                                          c_y * cos_m - sin_y * sin_m)
+        slope = np.where(past_pi, 0.0,
+                         cos_m + sin_m * c_y / np.maximum(sin_y, SIN_FLOOR))
+    res = plain_ce(z, labels)
+    grad_cos = scale * res.grad_features
+    if m > 0.0:
+        grad_cos[idx, labels] *= slope
+    res.grad_features = grad_cos @ rows
+    if normalize_features:
+        res.grad_features = _chain_normalization(res.grad_features, f, norms)
+    if want_weight_grad:
+        res.grad_weights = grad_cos.T @ f
+        if row_norms is not None:
+            res.grad_weights = _chain_normalization(res.grad_weights, rows,
+                                                    row_norms)
+    return res
 
 
 def grad_check(kind: LossKind, weights, features: np.ndarray,

@@ -16,7 +16,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .polytope import ClassifierWeights
+from .losses import Head
 
 
 @dataclass
@@ -72,25 +72,28 @@ def accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:
     return float((predictions == labels).mean())
 
 
-def geometry_report(weights: ClassifierWeights, features: np.ndarray,
-                    labels: np.ndarray, predictions: np.ndarray) -> GeometryReport:
-    """Per-class angular compactness plus global mean-direction separation."""
+def geometry_report(head, features: np.ndarray, labels: np.ndarray,
+                    predictions: np.ndarray) -> GeometryReport:
+    """Per-class angular compactness plus global mean-direction separation,
+    for a Head or ClassifierWeights."""
+    head = Head.of(head)
+    rows, _ = head.unit_rows()
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
-    if features.shape[1] != weights.dim:
-        raise ValueError(f"feature dim {features.shape[1]} != head dim {weights.dim}")
+    if features.shape[1] != head.dim:
+        raise ValueError(f"feature dim {features.shape[1]} != head dim {head.dim}")
     norms = np.linalg.norm(features, axis=1)
     degenerate = int((norms == 0).sum())
 
     per_class = []
     directions = []
-    for c in range(weights.num_classes):
+    for c in range(head.num_classes):
         mask = (labels == c) & (norms > 0)
         if not mask.any():
             per_class.append(ClassStats(c, False, 0, math.nan, math.nan, None))
             continue
         unit = features[mask] / norms[mask, None]
-        cos = np.clip(unit @ weights.rows[c], -1.0, 1.0)
+        cos = np.clip(unit @ rows[c], -1.0, 1.0)
         angles = np.arccos(cos)
         mean_dir = unit.mean(axis=0)
         mean_norm = np.linalg.norm(mean_dir)
@@ -109,7 +112,7 @@ def geometry_report(weights: ClassifierWeights, features: np.ndarray,
         iu = np.triu_indices(len(directions), k=1)
         min_angle, no_pairs = float(np.arccos(gram[iu]).min()), False
 
-    return GeometryReport(per_class, weights.phi, min_angle, no_pairs,
+    return GeometryReport(per_class, head.phi, min_angle, no_pairs,
                           accuracy(predictions, labels), degenerate)
 
 

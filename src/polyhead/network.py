@@ -9,6 +9,7 @@ rows are updated like any other parameter.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Union
 
@@ -16,6 +17,7 @@ import numpy as np
 
 from . import losses
 from .data import LabeledBatch, batches
+from .losses import Head
 from .polytope import ClassifierWeights, from_dict as weights_from_dict, to_dict as weights_to_dict
 
 PRELU_SLOPE_INIT = 0.25
@@ -33,40 +35,10 @@ class Layer:
 
 
 @dataclass
-class FixedHead:
-    weights: ClassifierWeights
-
-    @property
-    def rows(self) -> np.ndarray:
-        return self.weights.rows
-
-    @property
-    def num_classes(self) -> int:
-        return self.weights.num_classes
-
-    @property
-    def dim(self) -> int:
-        return self.weights.dim
-
-
-@dataclass
-class TrainableHead:
-    rows: np.ndarray  # (K, d), updated by the optimizer
-
-    @property
-    def num_classes(self) -> int:
-        return self.rows.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.rows.shape[1]
-
-
-@dataclass
 class MlpModel:
     input_dim: int
     layers: List[Layer]
-    head: Union[FixedHead, TrainableHead]
+    head: Head
 
     @property
     def embed_dim(self) -> int:
@@ -115,13 +87,13 @@ def init_model(input_dim: int, hidden_widths: List[int],
         if head.dim != hidden_widths[-1]:
             raise ValueError(
                 f"last hidden width {hidden_widths[-1]} != head dim {head.dim}")
-        model_head: Union[FixedHead, TrainableHead] = FixedHead(head)
+        model_head = Head.of(head)
     else:
         if trainable_classes is None:
             raise ValueError("need ClassifierWeights or trainable_classes")
         d = hidden_widths[-1]
         rows = rng.normal(0.0, np.sqrt(2.0 / d), size=(trainable_classes, d))
-        model_head = TrainableHead(rows)
+        model_head = Head(rows, True, math.nan)
     return MlpModel(input_dim, layers, model_head)
 
 
@@ -180,7 +152,7 @@ def _trainable_params(model: MlpModel):
     params = []
     for layer in model.layers:
         params.extend([layer.w, layer.b, layer.slope])
-    if isinstance(model.head, TrainableHead):
+    if model.head.trainable:
         params.append(model.head.rows)
     return params
 
@@ -189,7 +161,7 @@ def _grad_arrays(model: MlpModel, grads: ModelGrads):
     arrays = []
     for g in grads.layers:
         arrays.extend([g.w, g.b, g.slope])
-    if isinstance(model.head, TrainableHead):
+    if model.head.trainable:
         if grads.head_rows is None:
             raise ValueError("trainable head requires head_rows gradient")
         arrays.append(grads.head_rows)
@@ -221,9 +193,7 @@ def adam_step(model: MlpModel, grads: ModelGrads, state: AdamState):
 def predict(model: MlpModel, batch: np.ndarray) -> np.ndarray:
     """Argmax cosine similarity to head rows; ties break to the lowest index."""
     feats, _, _ = forward(model, batch)
-    rows = model.head.rows
-    norms = np.linalg.norm(rows, axis=1, keepdims=True)
-    unit_rows = rows / np.where(norms > 0, norms, 1.0)
+    unit_rows, _ = model.head.unit_rows()
     return np.argmax(feats @ unit_rows.T, axis=1)
 
 
@@ -232,8 +202,6 @@ def train(model: MlpModel, data: LabeledBatch, config: TrainConfig):
     if data.labels.max() >= model.head.num_classes:
         raise losses.LabelError(
             f"label {data.labels.max()} >= K={model.head.num_classes}")
-    trainable_head = isinstance(model.head, TrainableHead)
-    head_arg = model.head.rows if trainable_head else model.head.weights
     state = AdamState(lr=config.lr)
     log = []
     for epoch in range(config.epochs):
@@ -241,27 +209,25 @@ def train(model: MlpModel, data: LabeledBatch, config: TrainConfig):
         correct = 0
         for batch in batches(data, config.batch_size, config.seed, epoch):
             feats, _, cache = forward(model, batch.inputs)
-            res = losses.evaluate(config.loss, head_arg, feats, batch.labels,
-                                  want_weight_grad=trainable_head)
+            res = losses.evaluate(config.loss, model.head, feats, batch.labels,
+                                  want_weight_grad=model.head.trainable)
             grads = backward(model, cache, res.grad_features)
-            if trainable_head:
-                grads.head_rows = res.grad_weights
+            grads.head_rows = res.grad_weights
             adam_step(model, grads, state)
             loss_sum += res.value * len(batch)
-            rows = model.head.rows
-            unit = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+            unit, _ = model.head.unit_rows()
             correct += int((np.argmax(feats @ unit.T, axis=1) == batch.labels).sum())
         log.append(EpochStats(epoch, loss_sum / len(data), correct / len(data)))
     return model, log
 
 
 def model_to_dict(model: MlpModel) -> dict:
-    head: dict
-    if isinstance(model.head, FixedHead):
-        head = {"type": "fixed", "weights": weights_to_dict(model.head.weights)}
+    h = model.head
+    if h.trainable:
+        head = {"type": "trainable", "rows": [list(map(float, r)) for r in h.rows]}
     else:
-        head = {"type": "trainable",
-                "rows": [list(map(float, r)) for r in model.head.rows]}
+        head = {"type": "fixed", "weights": weights_to_dict(
+            ClassifierWeights(h.kind, h.num_classes, h.dim, h.rows, h.phi))}
     return {
         "input_dim": model.input_dim,
         "layers": [
@@ -283,10 +249,10 @@ def model_from_dict(payload: dict) -> MlpModel:
     ]
     head_payload = payload["head"]
     if head_payload["type"] == "fixed":
-        head: Union[FixedHead, TrainableHead] = FixedHead(
-            weights_from_dict(head_payload["weights"]))
+        head = Head.of(weights_from_dict(head_payload["weights"]))
     else:
-        head = TrainableHead(np.asarray(head_payload["rows"], dtype=np.float64))
+        head = Head(np.asarray(head_payload["rows"], dtype=np.float64), True,
+                    math.nan)
     return MlpModel(int(payload["input_dim"]), layers, head)
 
 

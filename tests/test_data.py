@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from polyhead.data import (EmptyDatasetError, IdxFormatError, LabeledBatch,
-                           batches, export_csv, load_idx, make_blobs, write_idx)
+                           batches, load_idx, make_blobs, write_idx)
 
 
 def write_pair(tmp_path, images, labels, image_magic=0x00000803,
@@ -131,16 +131,3 @@ class TestBatches:
         a = np.concatenate([b.labels for b in batches(small, 4, 5, epoch=3)])
         b = np.concatenate([b.labels for b in batches(small, 4, 5, epoch=3)])
         assert np.array_equal(a, b)
-
-
-class TestCsvExport:
-    def test_round_trip(self, tmp_path):
-        batch = make_blobs(2, 3, 5, 1.0, 3.0, seed=3)
-        path = tmp_path / "blobs.csv"
-        export_csv(batch, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "label,x0,x1,x2"
-        assert len(lines) == 11
-        values = np.array([[float(v) for v in line.split(",")[1:]]
-                           for line in lines[1:]])
-        assert np.array_equal(values, batch.inputs)

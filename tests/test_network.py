@@ -6,9 +6,8 @@ import pytest
 
 from polyhead import losses, network
 from polyhead.data import make_blobs
-from polyhead.network import (AdamState, CacheError, FixedHead, TrainableHead,
-                              TrainConfig, adam_step, backward, forward,
-                              init_model, predict, train)
+from polyhead.network import (AdamState, CacheError, TrainConfig, adam_step,
+                              backward, forward, init_model, predict, train)
 from polyhead.polytope import make_cube, make_orthoplex, make_simplex
 
 
@@ -33,7 +32,7 @@ def flatten_params(model):
     arrays = []
     for layer in model.layers:
         arrays.extend([layer.w, layer.b, layer.slope])
-    if isinstance(model.head, TrainableHead):
+    if model.head.trainable:
         arrays.append(model.head.rows)
     return arrays
 
@@ -113,15 +112,14 @@ def grad_resolvable(kind, w, feats, y, step=1e-6):
 
 def full_model_grad_check(model, x, y, loss_kind, step=1e-6):
     """Finite differences over every trainable parameter."""
-    trainable = isinstance(model.head, TrainableHead)
-    head_arg = model.head.rows if trainable else model.head.weights
+    trainable = model.head.trainable
 
     def loss_value():
         feats, _, _ = forward(model, x)
-        return losses.evaluate(loss_kind, head_arg, feats, y).value
+        return losses.evaluate(loss_kind, model.head, feats, y).value
 
     feats, _, cache = forward(model, x)
-    res = losses.evaluate(loss_kind, head_arg, feats, y,
+    res = losses.evaluate(loss_kind, model.head, feats, y,
                           want_weight_grad=trainable)
     grads = backward(model, cache, res.grad_features)
     analytic = []
@@ -383,5 +381,5 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.json"
         network.save_checkpoint(model, path)
         again = network.load_checkpoint(path)
-        assert isinstance(again.head, TrainableHead)
+        assert again.head.trainable
         assert np.array_equal(again.head.rows, model.head.rows)
