@@ -4,8 +4,8 @@ Subcommands: ``gen-weights`` (emit a polytope head as JSON), ``check``
 (verify a head file), ``train`` (run a config-driven training job and
 dump artifacts), ``eval`` (score a checkpoint on a dataset).
 
-Exit codes: 0 success, 1 verification failure, 2 usage/config error,
-3 I/O error.
+Exit codes: 0 success, 1 verification failure, 2 usage or config error
+(including a malformed JSON file or one with missing keys), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -14,12 +14,13 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import data as datamod
 from . import losses, metrics, network
-from .polytope import (ClassCountError, PolytopeKind, expected_angle,
-                       load_json, make_weights, save_json, verify_geometry)
+from .polytope import (PolytopeKind, load_json, make_weights, save_json,
+                       verify_geometry)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -28,10 +29,24 @@ EXIT_IO = 3
 
 
 class ConfigError(ValueError):
-    pass
+    """A config, input file or flag value that cannot be used (exit 2)."""
+
+
+@contextmanager
+def _reading():
+    """Report a malformed file, config or value read in this block as a
+    ConfigError; errors of the computation outside it propagate."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ConfigError(f"missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _require_keys(section: dict, allowed: set, required: set, where: str) -> None:
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {section!r}")
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
@@ -40,12 +55,29 @@ def _require_keys(section: dict, allowed: set, required: set, where: str) -> Non
         raise ConfigError(f"missing key(s) in {where}: {sorted(missing)}")
 
 
+_TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false",
+               str: "a string"}
+
+
+def _typed(section: dict, key: str, kind: type, where: str, default=None):
+    """``section[key]`` (or ``default``) if it is of JSON type ``kind``.
+
+    true/false is not a number, and an integer is a valid float.
+    """
+    value = section.get(key, default)
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+        raise ConfigError(f"{where} key {key!r} must be {_TYPE_NAMES[kind]}, "
+                          f"got {value!r}")
+    return kind(value)
+
+
 def _parse_loss(section: dict, phi: float) -> tuple:
     _require_keys(section, {"kind", "kappa", "m"}, {"kind"}, "loss")
     kind = section["kind"]
-    kappa = float(section.get("kappa", losses.KAPPA_DEFAULT))
-    m_raw = section.get("m", "max")
-    m = phi if m_raw == "max" else float(m_raw)
+    kappa = _typed(section, "kappa", float, "loss", losses.KAPPA_DEFAULT)
+    m = (phi if section.get("m", "max") == "max"
+         else _typed(section, "m", float, "loss"))
     if kind == "plain_ce":
         return losses.PlainCE(), {"kind": kind}
     if kind == "fixed_softmax":
@@ -59,36 +91,47 @@ def _parse_loss(section: dict, phi: float) -> tuple:
 
 
 def _load_dataset(section: dict) -> datamod.LabeledBatch:
+    if not isinstance(section, dict):
+        raise ConfigError(f"dataset must be a JSON object, got {section!r}")
     kind = section.get("type")
     if kind == "blobs":
         _require_keys(section, {"type", "classes", "dim", "per_class", "spread",
                                 "separation", "seed"},
                       {"type", "classes", "dim", "per_class", "spread",
                        "separation", "seed"}, "dataset")
-        return datamod.make_blobs(int(section["classes"]), int(section["dim"]),
-                                  int(section["per_class"]),
-                                  float(section["spread"]),
-                                  float(section["separation"]),
-                                  int(section["seed"]))
+        return datamod.make_blobs(
+            _typed(section, "classes", int, "dataset"),
+            _typed(section, "dim", int, "dataset"),
+            _typed(section, "per_class", int, "dataset"),
+            _typed(section, "spread", float, "dataset"),
+            _typed(section, "separation", float, "dataset"),
+            _typed(section, "seed", int, "dataset"))
     if kind == "idx":
         _require_keys(section, {"type", "images", "labels", "emnist", "limit"},
                       {"type", "images", "labels"}, "dataset")
-        batch = datamod.load_idx(section["images"], section["labels"],
-                                 emnist=bool(section.get("emnist", False)))
-        limit = section.get("limit")
-        if limit is not None:
-            batch = datamod.LabeledBatch(batch.inputs[:int(limit)],
-                                         batch.labels[:int(limit)])
+        batch = datamod.load_idx(_typed(section, "images", str, "dataset"),
+                                 _typed(section, "labels", str, "dataset"),
+                                 emnist=_typed(section, "emnist", bool, "dataset",
+                                               False))
+        if "limit" in section:
+            limit = _typed(section, "limit", int, "dataset")
+            if limit < 1:
+                raise ConfigError(f"dataset limit must be at least 1, got {limit}")
+            batch = datamod.LabeledBatch(batch.inputs[:limit], batch.labels[:limit])
         return batch
     raise ConfigError(f"dataset type must be 'blobs' or 'idx', got {kind!r}")
 
 
+def _tolerance(text: str) -> float:
+    tol = float(text)
+    if not (math.isfinite(tol) and tol >= 0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return tol
+
+
 def cmd_gen_weights(args) -> int:
-    try:
+    with _reading():
         weights = make_weights(PolytopeKind(args.kind), args.classes)
-    except ClassCountError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     save_json(weights, args.out)
     print(f"kind={weights.kind.value} K={weights.num_classes} d={weights.dim}")
     print(f"phi={weights.phi:.10f} rad ({math.degrees(weights.phi):.6f} deg)")
@@ -96,11 +139,8 @@ def cmd_gen_weights(args) -> int:
 
 
 def cmd_check(args) -> int:
-    try:
+    with _reading():
         weights = load_json(args.weights)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
     check = verify_geometry(weights, args.tol)
     status = "PASS" if check.passed else "FAIL"
     print(f"{status} worst_deviation={check.worst_deviation:.3e} "
@@ -111,39 +151,53 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
-def _run_train(config: dict, out_dir: Path) -> int:
-    _require_keys(config, {"seed", "epochs", "batch_size", "lr", "hidden_widths",
-                           "loss", "classifier", "dataset", "out_dir"},
-                  {"seed", "epochs", "hidden_widths", "loss", "classifier",
-                   "dataset"}, "config")
-    cls = config["classifier"]
-    _require_keys(cls, {"kind", "classes", "trainable"}, {"kind", "classes"},
-                  "classifier")
-    kind = PolytopeKind(cls["kind"])
-    weights = make_weights(kind, int(cls["classes"]))
-    trainable = bool(cls.get("trainable", False))
+def _run_train(config: dict, out_dir_arg) -> int:
+    with _reading():
+        _require_keys(config, {"seed", "epochs", "batch_size", "lr", "hidden_widths",
+                               "loss", "classifier", "dataset", "out_dir"},
+                      {"seed", "epochs", "hidden_widths", "loss", "classifier",
+                       "dataset"}, "config")
+        out_dir = Path(out_dir_arg or _typed(config, "out_dir", str, "config", "run"))
+        cls = config["classifier"]
+        _require_keys(cls, {"kind", "classes", "trainable"}, {"kind", "classes"},
+                      "classifier")
+        kind = PolytopeKind(cls["kind"])
+        weights = make_weights(kind, _typed(cls, "classes", int, "classifier"))
+        trainable = _typed(cls, "trainable", bool, "classifier", False)
 
-    loss_kind, loss_echo = _parse_loss(config["loss"], weights.phi)
-    dataset = _load_dataset(config["dataset"])
+        loss_kind, loss_echo = _parse_loss(config["loss"], weights.phi)
+        dataset = _load_dataset(config["dataset"])
 
-    hidden = [int(w) for w in config["hidden_widths"]]
-    if not hidden or hidden[-1] != weights.dim:
-        hidden = hidden + [weights.dim]  # embedding layer appended when omitted
-    seed = int(config["seed"])
-    train_cfg = network.TrainConfig(
-        loss=loss_kind,
-        epochs=int(config["epochs"]),
-        seed=seed,
-        hidden_widths=hidden,
-        batch_size=int(config.get("batch_size", 512)),
-        lr=float(config.get("lr", 0.0005)),
-    )
-    if trainable:
-        model = network.init_model(dataset.inputs.shape[1], hidden, None, seed,
-                                   trainable_classes=weights.num_classes)
-        model.head.phi = weights.phi  # the polytope the baseline stands in for
-    else:
-        model = network.init_model(dataset.inputs.shape[1], hidden, weights, seed)
+        hidden = config["hidden_widths"]
+        if not isinstance(hidden, list) or any(
+                isinstance(w, bool) or not isinstance(w, int) for w in hidden):
+            raise ConfigError(f"hidden_widths must be a list of integers, "
+                              f"got {hidden!r}")
+        if not hidden or hidden[-1] != weights.dim:
+            hidden = hidden + [weights.dim]  # embedding layer appended when omitted
+        seed = _typed(config, "seed", int, "config")
+        train_cfg = network.TrainConfig(
+            loss=loss_kind,
+            epochs=_typed(config, "epochs", int, "config"),
+            seed=seed,
+            hidden_widths=hidden,
+            batch_size=_typed(config, "batch_size", int, "config", 512),
+            lr=_typed(config, "lr", float, "config", 0.0005),
+        )
+        if train_cfg.epochs < 1:
+            raise ConfigError(f"epochs must be at least 1, got {train_cfg.epochs}")
+        if train_cfg.batch_size < 1:
+            raise ConfigError(f"batch_size must be at least 1, "
+                              f"got {train_cfg.batch_size}")
+        if dataset.labels.max() >= weights.num_classes:
+            raise ConfigError(f"dataset label {dataset.labels.max()} needs more than "
+                              f"the classifier's {weights.num_classes} classes")
+        if trainable:
+            model = network.init_model(dataset.inputs.shape[1], hidden, None, seed,
+                                       trainable_classes=weights.num_classes)
+            model.head.phi = weights.phi  # the polytope the baseline stands in for
+        else:
+            model = network.init_model(dataset.inputs.shape[1], hidden, weights, seed)
     model, log = network.train(model, dataset, train_cfg)
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -176,57 +230,33 @@ def _run_train(config: dict, out_dir: Path) -> int:
 
 
 def cmd_train(args) -> int:
-    try:
-        with open(args.config) as fh:
-            config = json.load(fh)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except json.JSONDecodeError as exc:
-        print(f"config parse error at line {exc.lineno}, column {exc.colno}: "
-              f"{exc.msg}", file=sys.stderr)
-        return EXIT_USAGE
-    out_dir = Path(args.out_dir or config.get("out_dir", "run"))
-    try:
-        return _run_train(config, out_dir)
-    except (ConfigError, ClassCountError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    with open(args.config) as fh, _reading():
+        config = json.load(fh)
+    return _run_train(config, args.out_dir)
 
 
 def cmd_eval(args) -> int:
-    try:
+    if args.images and not args.labels:
+        print("error: --images needs --labels", file=sys.stderr)
+        return EXIT_USAGE
+    if not (args.images or args.blobs_classes):
+        print("error: provide --images/--labels or --blobs-* options",
+              file=sys.stderr)
+        return EXIT_USAGE
+    with _reading():
         model = network.load_checkpoint(args.checkpoint)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
         if args.images:
             dataset = datamod.load_idx(args.images, args.labels,
                                        emnist=args.emnist)
-        elif args.blobs_classes:
+        else:
             dataset = datamod.make_blobs(args.blobs_classes, args.blobs_dim,
                                          args.blobs_per_class, args.blobs_spread,
                                          args.blobs_separation, args.blobs_seed)
-        else:
-            print("error: provide --images/--labels or --blobs-* options",
-                  file=sys.stderr)
-            return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (datamod.IdxFormatError, datamod.EmptyDatasetError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        if dataset.inputs.shape[1] != model.input_dim:
+            raise ConfigError(f"dataset input dim {dataset.inputs.shape[1]} != "
+                              f"checkpoint input dim {model.input_dim}")
 
-    try:
-        feats, _, _ = network.forward(model, dataset.inputs)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    feats, _, _ = network.forward(model, dataset.inputs)
     preds = network.predict(model, dataset.inputs)
     report = metrics.geometry_report(model.head, feats, dataset.labels, preds)
     print(f"accuracy={report.accuracy:.4f}")
@@ -249,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="verify a weights file")
     p.add_argument("--weights", required=True)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_tolerance, default=1e-10)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("train", help="train from a JSON config")
@@ -279,7 +309,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:
+        code, message = EXIT_IO, str(exc)
+    except ConfigError as exc:
+        code, message = EXIT_USAGE, str(exc)
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -242,12 +242,12 @@ def evaluate(kind: LossKind, weights, features: np.ndarray, labels: np.ndarray,
         f, norms = _normalize(f, "feature")
     labels = _check_labels(labels, head.num_classes)
 
-    cos = f @ rows.T
-    z = scale * cos
+    inner = f @ rows.T  # cosines when both g and h normalize
+    z = scale * inner
     if m > 0.0:
-        idx = np.arange(cos.shape[0])
+        idx = np.arange(inner.shape[0])
         cos_m, sin_m = math.cos(m), math.sin(m)
-        c_y = np.clip(cos[idx, labels], -1.0, 1.0)
+        c_y = np.clip(inner[idx, labels], -1.0, 1.0)
         sin_y = np.sqrt(np.maximum(0.0, 1.0 - c_y * c_y))
         past_pi = c_y < -cos_m  # theta_y + m > pi
         z[idx, labels] = scale * np.where(past_pi, -1.0,
@@ -255,14 +255,14 @@ def evaluate(kind: LossKind, weights, features: np.ndarray, labels: np.ndarray,
         slope = np.where(past_pi, 0.0,
                          cos_m + sin_m * c_y / np.maximum(sin_y, SIN_FLOOR))
     res = plain_ce(z, labels)
-    grad_cos = scale * res.grad_features
+    grad_inner = scale * res.grad_features
     if m > 0.0:
-        grad_cos[idx, labels] *= slope
-    res.grad_features = grad_cos @ rows
+        grad_inner[idx, labels] *= slope
+    res.grad_features = grad_inner @ rows
     if normalize_features:
         res.grad_features = _chain_normalization(res.grad_features, f, norms)
     if want_weight_grad:
-        res.grad_weights = grad_cos.T @ f
+        res.grad_weights = grad_inner.T @ f
         if row_norms is not None:
             res.grad_weights = _chain_normalization(res.grad_weights, rows,
                                                     row_norms)

@@ -162,13 +162,17 @@ def pairwise_angles(rows: np.ndarray) -> np.ndarray:
 
 
 def verify_geometry(weights: ClassifierWeights, tol: float = DEFAULT_TOL) -> GeometryCheck:
-    """Check unit norms and the nearest-neighbour angle against phi.
+    """Check the class count, phi, unit norms and the nearest-neighbour angle.
 
+    K must fit the family's vertex count in d dimensions, and the stored
+    phi must equal the closed form ``expected_angle(kind, d)`` within tol.
     The minimum pairwise angle must equal phi within tol; for the simplex
     every pairwise angle must equal phi.  A 2-class orthoplex has only the
     antipodal pair, whose angle is pi rather than phi = pi/2; that single
     configuration is accepted as-is.
     """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     rows = np.asarray(weights.rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape != (weights.num_classes, weights.dim):
         raise StructuralError(f"rows shape {rows.shape} does not match "
@@ -181,15 +185,26 @@ def verify_geometry(weights: ClassifierWeights, tol: float = DEFAULT_TOL) -> Geo
     norm_dev = float(np.max(np.abs(np.linalg.norm(rows, axis=1) - 1.0)))
     angles = pairwise_angles(rows)
     min_angle = float(angles.min())
+    needed = embedding_dim(weights.kind, weights.num_classes)
+    if needed > weights.dim:
+        return GeometryCheck(False, math.inf, min_angle,
+                             f"{weights.num_classes} classes exceed the vertices "
+                             f"of a {weights.dim}-d {weights.kind.value}, which "
+                             f"needs d >= {needed}")
+    phi = expected_angle(weights.kind, weights.dim)
+    phi_dev = abs(weights.phi - phi)
 
     if weights.kind is PolytopeKind.ORTHOPLEX and weights.num_classes == 2:
         angle_dev = float(abs(min_angle - math.pi))
     elif weights.kind is PolytopeKind.SIMPLEX:
-        angle_dev = float(np.max(np.abs(angles - weights.phi)))
+        angle_dev = float(np.max(np.abs(angles - phi)))
     else:
-        angle_dev = float(abs(min_angle - weights.phi))
+        angle_dev = float(abs(min_angle - phi))
 
-    worst = max(norm_dev, angle_dev)
+    worst = max(norm_dev, angle_dev, phi_dev)
+    if not phi_dev <= tol:  # a NaN phi fails too
+        return GeometryCheck(False, worst, min_angle,
+                             f"stored phi {weights.phi!r} != closed form {phi!r}")
     if norm_dev > tol:
         return GeometryCheck(False, worst, min_angle,
                              f"row norm deviates by {norm_dev:.3e}")

@@ -33,6 +33,11 @@ class TestGenWeights:
         assert run(["gen-weights", "--kind", "simplex", "--classes", "1",
                     "--out", str(out)]) == 2
 
+    def test_out_into_missing_directory(self, tmp_path):
+        out = tmp_path / "no" / "such" / "w.json"
+        assert run(["gen-weights", "--kind", "cube", "--classes", "4",
+                    "--out", str(out)]) == 3
+
 
 class TestCheck:
     def test_valid_file(self, tmp_path):
@@ -53,6 +58,53 @@ class TestCheck:
 
     def test_missing_file(self, tmp_path):
         assert run(["check", "--weights", str(tmp_path / "nope.json")]) == 3
+
+    def test_cube_file_holding_a_triangle_fails(self, tmp_path, capsys):
+        # an equilateral triangle labelled cube d=3, with its own angle as phi
+        out = tmp_path / "w.json"
+        rows = [[1.0, 0.0, 0.0], [-0.5, math.sqrt(3) / 2, 0.0],
+                [-0.5, -math.sqrt(3) / 2, 0.0]]
+        out.write_text(json.dumps({"kind": "cube", "K": 3, "d": 3,
+                                   "phi": 2 * math.pi / 3, "rows": rows}))
+        assert run(["check", "--weights", str(out)]) == 1
+        printed = capsys.readouterr().out
+        assert "FAIL" in printed and "stored phi" in printed
+
+    def test_nan_phi_fails(self, tmp_path, capsys):
+        out = tmp_path / "w.json"
+        run(["gen-weights", "--kind", "simplex", "--classes", "5",
+             "--out", str(out)])
+        payload = json.loads(out.read_text())
+        payload["phi"] = float("nan")
+        out.write_text(json.dumps(payload))
+        assert run(["check", "--weights", str(out)]) == 1
+        assert "stored phi" in capsys.readouterr().out
+
+    def test_more_classes_than_vertices(self, tmp_path, capsys):
+        # three classes on a 1-d orthoplex (2 vertices); a loose tol would
+        # let the angles pass
+        out = tmp_path / "w.json"
+        out.write_text(json.dumps({"kind": "orthoplex", "K": 3, "d": 1,
+                                   "phi": math.pi / 2,
+                                   "rows": [[1.0], [-1.0], [1.0]]}))
+        assert run(["check", "--weights", str(out), "--tol", "4"]) == 1
+        assert "vertices" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("tol", ["nan", "-1e-10", "inf"])
+    def test_tol_must_be_finite_and_non_negative(self, tmp_path, tol):
+        out = tmp_path / "w.json"
+        run(["gen-weights", "--kind", "simplex", "--classes", "4",
+             "--out", str(out)])
+        assert run(["check", "--weights", str(out), f"--tol={tol}"]) == 2
+
+    @pytest.mark.parametrize("text", [
+        "{ not json", "[1, 2]", '{"kind": "cube", "K": 2, "d": 1}',
+        '{"kind": "prism", "K": 2, "d": 1, "phi": 1.0, "rows": [[1.0], [-1.0]]}',
+        '{"kind": "cube", "K": 2, "d": 1, "phi": 1.0, "rows": [[1.0], ["a"]]}'])
+    def test_malformed_file(self, tmp_path, text):
+        out = tmp_path / "w.json"
+        out.write_text(text)
+        assert run(["check", "--weights", str(out)]) == 2
 
 
 def blob_config(tmp_path, **overrides):
@@ -117,6 +169,46 @@ class TestTrain:
         path, _ = blob_config(tmp_path, learningrate=0.1)
         assert run(["train", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("overrides", [
+        {"epochs": 0},
+        {"epochs": True},
+        {"seed": "5"},
+        {"batch_size": 64.0},
+        {"hidden_widths": "16"},
+        {"hidden_widths": [True]},
+        {"classifier": {"kind": "simplex", "classes": "4"}},
+        {"classifier": {"kind": "simplex", "classes": 4, "trainable": "no"}},
+        {"lr": "0.01"},
+        {"loss": {"kind": "angular_margin", "kappa": True}},
+        {"dataset": {"type": "blobs", "classes": 4, "dim": 3,
+                     "per_class": 100, "spread": 1.0, "separation": 6.0,
+                     "seed": True}},
+        {"dataset": {"type": "idx", "images": 5, "labels": 6}},
+        {"dataset": ["blobs"]},
+        {"batch_size": 0},
+        {"dataset": {"type": "blobs", "classes": 5, "dim": 3,
+                     "per_class": 100, "spread": 1.0, "separation": 6.0,
+                     "seed": 6}},
+    ], ids=["epochs_zero", "epochs_bool", "seed_str", "batch_size_float",
+            "hidden_widths_str", "hidden_width_bool", "classes_str",
+            "trainable_str", "lr_str", "kappa_bool", "blobs_seed_bool",
+            "idx_paths_int", "dataset_list", "batch_size_zero",
+            "labels_exceed_classes"])
+    def test_config_types_and_ranges(self, tmp_path, overrides):
+        path, _ = blob_config(tmp_path, **overrides)
+        assert run(["train", "--config", str(path)]) == 2
+        assert not (tmp_path / "run").exists()
+
+    def test_training_errors_propagate(self, tmp_path, monkeypatch):
+        # only reading the config maps to an exit code; a fault in the
+        # computation keeps its traceback
+        def broken(*args):
+            raise ValueError("broken")
+        monkeypatch.setattr(cli.network, "train", broken)
+        path, _ = blob_config(tmp_path, epochs=1)
+        with pytest.raises(ValueError, match="broken"):
+            run(["train", "--config", str(path)])
+
     def test_config_parse_error(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{ not json }")
@@ -164,6 +256,22 @@ class TestEval:
     def test_missing_checkpoint(self, tmp_path):
         assert run(["eval", "--checkpoint", str(tmp_path / "nope.json"),
                     "--blobs-classes", "2"]) == 3
+
+    @pytest.mark.parametrize("text", ["{ not json", '{"input_dim": 3}',
+                                      '{"input_dim": 3, "layers": [], '
+                                      '"head": {"type": "fixed", "weights": {}}}'])
+    def test_malformed_checkpoint(self, tmp_path, text):
+        path = tmp_path / "ckpt.json"
+        path.write_text(text)
+        assert run(["eval", "--checkpoint", str(path),
+                    "--blobs-classes", "2"]) == 2
+
+    def test_images_without_labels(self, tmp_path):
+        path, _ = blob_config(tmp_path, epochs=1)
+        assert run(["train", "--config", str(path)]) == 0
+        assert run(["eval", "--checkpoint",
+                    str(tmp_path / "run" / "checkpoint.json"),
+                    "--images", str(tmp_path / "images")]) == 2
 
     def test_no_dataset_args(self, tmp_path):
         path, _ = blob_config(tmp_path, epochs=1)
