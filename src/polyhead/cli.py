@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage or config error
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -195,7 +196,8 @@ def _run_train(config: dict, out_dir_arg) -> int:
         if trainable:
             model = network.init_model(dataset.inputs.shape[1], hidden, None, seed,
                                        trainable_classes=weights.num_classes)
-            model.head.phi = weights.phi  # the polytope the baseline stands in for
+            # the polytope the baseline stands in for
+            model.head = dataclasses.replace(model.head, phi=weights.phi)
         else:
             model = network.init_model(dataset.inputs.shape[1], hidden, weights, seed)
     model, log = network.train(model, dataset, train_cfg)

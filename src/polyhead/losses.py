@@ -25,7 +25,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .polytope import ClassifierWeights, PolytopeKind
+from .polytope import ClassifierWeights
 
 KAPPA_DEFAULT = 30.0
 NORM_FLOOR = 1e-12
@@ -106,40 +106,12 @@ def _chain_normalization(grad_unit: np.ndarray, unit: np.ndarray,
     return (grad_unit - radial * unit) / norms
 
 
-@dataclass
-class Head:
-    """Classifier rows: fixed polytope vertices or the trainable baseline.
-
-    A fixed head's rows are the polytope's unit vertices and never move.
-    A trainable head's rows are raw parameters that the optimizer updates;
-    every angular use of them goes through ``unit_rows``.
-    """
-    rows: np.ndarray   # (K, d)
-    trainable: bool
-    phi: float         # vertex angle of the polytope; nan when unknown
-    kind: Optional[PolytopeKind] = None  # polytope family of a fixed head
-
-    @classmethod
-    def of(cls, weights) -> "Head":
-        """A Head as given, or the fixed head on a ClassifierWeights."""
-        if isinstance(weights, Head):
-            return weights
-        return cls(weights.rows, False, weights.phi, weights.kind)
-
-    @property
-    def num_classes(self) -> int:
-        return self.rows.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.rows.shape[1]
-
-    def unit_rows(self):
-        """Unit rows and their norms; the norms are None for a fixed head,
-        whose rows are unit already."""
-        if not self.trainable:
-            return self.rows, None
-        return _normalize(self.rows, "trainable head row")
+def unit_rows(head: ClassifierWeights):
+    """Unit rows of a head and their norms; the norms are None for a fixed
+    head, whose rows are unit already."""
+    if not head.trainable:
+        return head.rows, None
+    return _normalize(head.rows, "trainable head row")
 
 
 def _check_labels(labels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -223,9 +195,9 @@ def _switches(kind: LossKind) -> tuple:
     raise TypeError(f"unknown loss kind {kind!r}")
 
 
-def evaluate(kind: LossKind, weights, features: np.ndarray, labels: np.ndarray,
-             want_weight_grad: bool = False) -> LossResult:
-    """Cross-entropy over ``s * g(f) . h(w_j)`` for a head or ClassifierWeights.
+def evaluate(kind: LossKind, weights: ClassifierWeights, features: np.ndarray,
+             labels: np.ndarray, want_weight_grad: bool = False) -> LossResult:
+    """Cross-entropy over ``s * g(f) . h(w_j)`` for a fixed or trainable head.
 
     With ``m > 0`` the target logit is ``s * cos(theta_y + m)``, computed
     with the angle-addition identity on the clipped cosine.  Past
@@ -233,14 +205,14 @@ def evaluate(kind: LossKind, weights, features: np.ndarray, labels: np.ndarray,
     d cos(theta+m)/d cos(theta) factor uses a sin(theta) floor.
     """
     normalize_features, normalize_rows, scale, m = _switches(kind)
-    head = Head.of(weights)
-    rows, row_norms = head.unit_rows() if normalize_rows else (head.rows, None)
+    rows, row_norms = (unit_rows(weights) if normalize_rows
+                       else (weights.rows, None))
     f = np.asarray(features, dtype=np.float64)
-    if f.ndim != 2 or f.shape[1] != head.dim:
-        raise DimensionError(f"feature dim {f.shape} != head dim {head.dim}")
+    if f.ndim != 2 or f.shape[1] != weights.dim:
+        raise DimensionError(f"feature dim {f.shape} != head dim {weights.dim}")
     if normalize_features:
         f, norms = _normalize(f, "feature")
-    labels = _check_labels(labels, head.num_classes)
+    labels = _check_labels(labels, weights.num_classes)
 
     inner = f @ rows.T  # cosines when both g and h normalize
     z = scale * inner

@@ -16,7 +16,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .losses import Head
+from .losses import unit_rows
 
 
 @dataclass
@@ -75,9 +75,8 @@ def accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:
 def geometry_report(head, features: np.ndarray, labels: np.ndarray,
                     predictions: np.ndarray) -> GeometryReport:
     """Per-class angular compactness plus global mean-direction separation,
-    for a Head or ClassifierWeights."""
-    head = Head.of(head)
-    rows, _ = head.unit_rows()
+    for a fixed or trainable head."""
+    rows, _ = unit_rows(head)
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
     if features.shape[1] != head.dim:

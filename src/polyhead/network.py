@@ -11,13 +11,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Union
+from typing import List, Optional
 
 import numpy as np
 
 from . import losses
 from .data import LabeledBatch, batches
-from .losses import Head
 from .polytope import ClassifierWeights, from_dict as weights_from_dict, to_dict as weights_to_dict
 
 PRELU_SLOPE_INIT = 0.25
@@ -38,11 +37,7 @@ class Layer:
 class MlpModel:
     input_dim: int
     layers: List[Layer]
-    head: Head
-
-    @property
-    def embed_dim(self) -> int:
-        return self.head.dim
+    head: ClassifierWeights
 
 
 @dataclass
@@ -69,7 +64,7 @@ class EpochStats:
 
 
 def init_model(input_dim: int, hidden_widths: List[int],
-               head: Union[ClassifierWeights, int], seed: int,
+               head: Optional[ClassifierWeights], seed: int,
                trainable_classes: Optional[int] = None) -> MlpModel:
     """He-initialized MLP.  ``head`` is a ClassifierWeights for a fixed
     head; pass ``trainable_classes`` (with head=None) for the baseline."""
@@ -83,18 +78,17 @@ def init_model(input_dim: int, hidden_widths: List[int],
         layers.append(Layer(w, np.zeros(width), np.full(width, PRELU_SLOPE_INIT)))
         fan_in = width
 
-    if isinstance(head, ClassifierWeights):
+    if head is not None:
         if head.dim != hidden_widths[-1]:
             raise ValueError(
                 f"last hidden width {hidden_widths[-1]} != head dim {head.dim}")
-        model_head = Head.of(head)
     else:
         if trainable_classes is None:
             raise ValueError("need ClassifierWeights or trainable_classes")
         d = hidden_widths[-1]
         rows = rng.normal(0.0, np.sqrt(2.0 / d), size=(trainable_classes, d))
-        model_head = Head(rows, True, math.nan)
-    return MlpModel(input_dim, layers, model_head)
+        head = ClassifierWeights(None, trainable_classes, d, rows, math.nan, True)
+    return MlpModel(input_dim, layers, head)
 
 
 def forward(model: MlpModel, batch: np.ndarray):
@@ -193,8 +187,8 @@ def adam_step(model: MlpModel, grads: ModelGrads, state: AdamState):
 def predict(model: MlpModel, batch: np.ndarray) -> np.ndarray:
     """Argmax cosine similarity to head rows; ties break to the lowest index."""
     feats, _, _ = forward(model, batch)
-    unit_rows, _ = model.head.unit_rows()
-    return np.argmax(feats @ unit_rows.T, axis=1)
+    unit, _ = losses.unit_rows(model.head)
+    return np.argmax(feats @ unit.T, axis=1)
 
 
 def train(model: MlpModel, data: LabeledBatch, config: TrainConfig):
@@ -215,7 +209,7 @@ def train(model: MlpModel, data: LabeledBatch, config: TrainConfig):
             grads.head_rows = res.grad_weights
             adam_step(model, grads, state)
             loss_sum += res.value * len(batch)
-            unit, _ = model.head.unit_rows()
+            unit, _ = losses.unit_rows(model.head)
             correct += int((np.argmax(feats @ unit.T, axis=1) == batch.labels).sum())
         log.append(EpochStats(epoch, loss_sum / len(data), correct / len(data)))
     return model, log
@@ -226,8 +220,7 @@ def model_to_dict(model: MlpModel) -> dict:
     if h.trainable:
         head = {"type": "trainable", "rows": [list(map(float, r)) for r in h.rows]}
     else:
-        head = {"type": "fixed", "weights": weights_to_dict(
-            ClassifierWeights(h.kind, h.num_classes, h.dim, h.rows, h.phi))}
+        head = {"type": "fixed", "weights": weights_to_dict(h)}
     return {
         "input_dim": model.input_dim,
         "layers": [
@@ -249,10 +242,10 @@ def model_from_dict(payload: dict) -> MlpModel:
     ]
     head_payload = payload["head"]
     if head_payload["type"] == "fixed":
-        head = Head.of(weights_from_dict(head_payload["weights"]))
+        head = weights_from_dict(head_payload["weights"])
     else:
-        head = Head(np.asarray(head_payload["rows"], dtype=np.float64), True,
-                    math.nan)
+        rows = np.asarray(head_payload["rows"], dtype=np.float64)
+        head = ClassifierWeights(None, *rows.shape, rows, math.nan, True)
     return MlpModel(int(payload["input_dim"]), layers, head)
 
 

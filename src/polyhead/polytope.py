@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Optional
 
 import numpy as np
 
@@ -36,13 +37,22 @@ class StructuralError(ValueError):
 
 @dataclass(frozen=True)
 class ClassifierWeights:
-    """K unit-norm polytope vertices in d dimensions plus their angle phi."""
+    """K classifier rows in d dimensions: a fixed polytope head or the
+    trainable baseline.
 
-    kind: PolytopeKind
+    A fixed head's rows are the polytope's unit vertices, read-only, and
+    never move.  A trainable head's rows are raw parameters that Adam
+    updates in place; its ``kind`` is None, and every angular use of its
+    rows goes through ``losses.unit_rows``.  ``phi`` is the vertex angle
+    of the polytope the head is or stands in for (nan when unknown).
+    """
+
+    kind: Optional[PolytopeKind]
     num_classes: int
     dim: int
-    rows: np.ndarray  # shape (K, d), unit rows
+    rows: np.ndarray  # shape (K, d)
     phi: float
+    trainable: bool = False
 
 
 @dataclass(frozen=True)
