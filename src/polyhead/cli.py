@@ -41,7 +41,7 @@ def _reading():
         yield
     except KeyError as exc:
         raise ConfigError(f"missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # int(inf), float(10**400)
         raise ConfigError(str(exc)) from exc
 
 

@@ -121,23 +121,6 @@ def _check_labels(labels: np.ndarray, num_classes: int) -> np.ndarray:
     return labels.astype(np.int64)
 
 
-def logits(weights: ClassifierWeights, features: np.ndarray,
-           bias: Optional[np.ndarray] = None) -> np.ndarray:
-    """Inner-product scores z[n, j] = w_j . f_n + b_j (bias defaults to 0)."""
-    features = np.asarray(features, dtype=np.float64)
-    rows = weights.rows
-    if features.ndim != 2 or features.shape[1] != rows.shape[1]:
-        raise DimensionError(
-            f"feature dim {features.shape} incompatible with head dim {rows.shape[1]}")
-    z = features @ rows.T
-    if bias is not None:
-        bias = np.asarray(bias, dtype=np.float64)
-        if bias.shape != (rows.shape[0],):
-            raise DimensionError(f"bias shape {bias.shape}, expected ({rows.shape[0]},)")
-        z = z + bias
-    return z
-
-
 def _log_softmax(z: np.ndarray) -> np.ndarray:
     shifted = z - z.max(axis=1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))

@@ -39,21 +39,23 @@ class GeometryReport:
     degenerate: int  # zero-norm features excluded from angular stats
 
     def to_dict(self) -> dict:
+        """Strict-JSON form: a non-finite float (an unknown phi, the angles
+        of a class with no samples) becomes None."""
         return {
-            "phi": self.phi,
-            "min_pairwise_mean_angle": self.min_pairwise_mean_angle,
+            "phi": _finite(self.phi),
+            "min_pairwise_mean_angle": _finite(self.min_pairwise_mean_angle),
             "no_pairs": self.no_pairs,
-            "accuracy": self.accuracy,
+            "accuracy": _finite(self.accuracy),
             "degenerate": self.degenerate,
             "per_class": [
                 {
                     "label": c.label,
                     "present": c.present,
                     "count": c.count,
-                    "mean_angle_to_weight": c.mean_angle_to_weight,
-                    "angle_std": c.angle_std,
+                    "mean_angle_to_weight": _finite(c.mean_angle_to_weight),
+                    "angle_std": _finite(c.angle_std),
                     "mean_direction": None if c.mean_direction is None
-                    else list(map(float, c.mean_direction)),
+                    else list(map(_finite, c.mean_direction)),
                 }
                 for c in self.per_class
             ],
@@ -61,7 +63,12 @@ class GeometryReport:
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
+            json.dump(self.to_dict(), fh, indent=2, allow_nan=False)
+
+
+def _finite(value) -> Optional[float]:
+    value = float(value)
+    return value if math.isfinite(value) else None
 
 
 def accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:

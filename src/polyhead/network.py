@@ -17,7 +17,8 @@ import numpy as np
 
 from . import losses
 from .data import LabeledBatch, batches
-from .polytope import ClassifierWeights, from_dict as weights_from_dict, to_dict as weights_to_dict
+from .polytope import (ClassifierWeights, StructuralError, from_dict as weights_from_dict,
+                       to_dict as weights_to_dict)
 
 PRELU_SLOPE_INIT = 0.25
 
@@ -205,12 +206,12 @@ def train(model: MlpModel, data: LabeledBatch, config: TrainConfig):
             feats, _, cache = forward(model, batch.inputs)
             res = losses.evaluate(config.loss, model.head, feats, batch.labels,
                                   want_weight_grad=model.head.trainable)
+            loss_sum += res.value * len(batch)
+            unit, _ = losses.unit_rows(model.head)  # before the step moves them
+            correct += int((np.argmax(feats @ unit.T, axis=1) == batch.labels).sum())
             grads = backward(model, cache, res.grad_features)
             grads.head_rows = res.grad_weights
             adam_step(model, grads, state)
-            loss_sum += res.value * len(batch)
-            unit, _ = losses.unit_rows(model.head)
-            correct += int((np.argmax(feats @ unit.T, axis=1) == batch.labels).sum())
         log.append(EpochStats(epoch, loss_sum / len(data), correct / len(data)))
     return model, log
 
@@ -233,20 +234,39 @@ def model_to_dict(model: MlpModel) -> dict:
     }
 
 
+def _finite_array(values, ndim: int, what: str) -> np.ndarray:
+    array = np.asarray(values, dtype=np.float64)
+    if array.ndim != ndim or not np.all(np.isfinite(array)):
+        raise StructuralError(f"{what} must be a finite {ndim}-D array, "
+                              f"got shape {array.shape}")
+    return array
+
+
 def model_from_dict(payload: dict) -> MlpModel:
-    layers = [
-        Layer(np.asarray(entry["w"], dtype=np.float64),
-              np.asarray(entry["b"], dtype=np.float64),
-              np.asarray(entry["slope"], dtype=np.float64))
-        for entry in payload["layers"]
-    ]
+    """The model a checkpoint describes.  Raises StructuralError unless
+    every parameter is finite and the widths chain from ``input_dim``
+    through each layer's ``w``, ``b`` and ``slope`` to the head's d."""
+    input_dim = width = int(payload["input_dim"])
+    layers = []
+    for i, entry in enumerate(payload["layers"]):
+        w, b, slope = (_finite_array(entry[key], ndim, f"layer {i} {key}")
+                       for key, ndim in (("w", 2), ("b", 1), ("slope", 1)))
+        if w.shape[1] != width or not b.shape == slope.shape == (w.shape[0],):
+            raise StructuralError(f"layer {i} takes {width} inputs but has w "
+                                  f"{w.shape}, b {b.shape} and slope {slope.shape}")
+        layers.append(Layer(w, b, slope))
+        width = w.shape[0]
     head_payload = payload["head"]
     if head_payload["type"] == "fixed":
         head = weights_from_dict(head_payload["weights"])
+        _finite_array(head.rows, 2, "head rows")
     else:
-        rows = np.asarray(head_payload["rows"], dtype=np.float64)
+        rows = _finite_array(head_payload["rows"], 2, "head rows")
         head = ClassifierWeights(None, *rows.shape, rows, math.nan, True)
-    return MlpModel(int(payload["input_dim"]), layers, head)
+        losses.unit_rows(head)  # a zero row has no direction to score against
+    if head.dim != width:
+        raise StructuralError(f"head d={head.dim} != last layer width {width}")
+    return MlpModel(input_dim, layers, head)
 
 
 def save_checkpoint(model: MlpModel, path, extra: Optional[dict] = None) -> None:

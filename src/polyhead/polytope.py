@@ -131,9 +131,9 @@ def make_simplex(num_classes: int, dim: int | None = None) -> ClassifierWeights:
 def make_orthoplex(num_classes: int, dim: int | None = None) -> ClassifierWeights:
     """Orthoplex: first K of (+e1, -e1, +e2, -e2, ...) in d = ceil(K/2) dims."""
     dim = _resolve_dim(PolytopeKind.ORTHOPLEX, num_classes, dim)
+    i = np.arange(num_classes)
     verts = np.zeros((num_classes, dim))
-    for i in range(num_classes):
-        verts[i, i // 2] = 1.0 if i % 2 == 0 else -1.0
+    verts[i, i // 2] = np.where(i % 2 == 0, 1.0, -1.0)
     return _finalize(PolytopeKind.ORTHOPLEX, num_classes, verts)
 
 
@@ -145,11 +145,8 @@ def make_cube(num_classes: int, dim: int | None = None) -> ClassifierWeights:
     """
     dim = _resolve_dim(PolytopeKind.CUBE, num_classes, dim)
     scale = 1.0 / math.sqrt(dim)
-    verts = np.empty((num_classes, dim))
-    for i in range(num_classes):
-        for j in range(dim):
-            bit = (i >> (dim - 1 - j)) & 1
-            verts[i, j] = scale if bit else -scale
+    bits = (np.arange(num_classes)[:, None] >> np.arange(dim - 1, -1, -1)) & 1
+    verts = np.where(bits == 1, scale, -scale)
     return _finalize(PolytopeKind.CUBE, num_classes, verts)
 
 

@@ -3,9 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from polyhead import cli
-from polyhead.polytope import load_json
+from polyhead import cli, network
+from polyhead.polytope import load_json, make_orthoplex, make_simplex, to_dict
 
 
 def run(args):
@@ -266,6 +267,27 @@ class TestEval:
         assert run(["eval", "--checkpoint", str(path),
                     "--blobs-classes", "2"]) == 2
 
+    @pytest.mark.parametrize("edit", [
+        lambda p: p["head"].update(type="trainable", rows=[[1.0, 0.0, 0.0]] * 4),
+        lambda p: p["head"].update(type="trainable", rows=[1.0, 0.0]),
+        lambda p: p["head"].update(weights=to_dict(make_simplex(5))),
+        lambda p: p["layers"][0].update(b=p["layers"][0]["b"][:-1]),
+        lambda p: p["layers"][0].update(w=[r + [0.0] for r in p["layers"][0]["w"]]),
+        lambda p: p["layers"][1]["w"][0].__setitem__(0, math.nan),
+        lambda p: p["head"].update(type="trainable", rows=[[1.0, 0.0], [0.0, 0.0]]),
+        lambda p: p.update(input_dim=math.inf),
+    ], ids=["trainable_rows_too_wide", "trainable_rows_1d", "fixed_head_other_d",
+            "b_shorter_than_w", "w_wider_than_input_dim", "nan_weight",
+            "zero_trainable_row", "infinite_input_dim"])
+    def test_inconsistent_checkpoint(self, tmp_path, edit):
+        model = network.init_model(3, [5, 2], make_orthoplex(4), seed=0)
+        payload = network.model_to_dict(model)
+        edit(payload)
+        path = tmp_path / "ckpt.json"
+        path.write_text(json.dumps(payload))
+        assert run(["eval", "--checkpoint", str(path), "--blobs-classes", "2",
+                    "--blobs-dim", "3"]) == 2
+
     def test_images_without_labels(self, tmp_path):
         path, _ = blob_config(tmp_path, epochs=1)
         assert run(["train", "--config", str(path)]) == 0
@@ -278,3 +300,49 @@ class TestEval:
         run(["train", "--config", str(path)])
         assert run(["eval", "--checkpoint",
                     str(tmp_path / "run" / "checkpoint.json")]) == 2
+
+
+JUNK = st.one_of(st.text(max_size=3), st.booleans(), st.none(), st.floats(),
+                 st.integers(-3, 3), st.just(10 ** 400),
+                 st.lists(st.integers(0, 2), max_size=3),
+                 st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+
+
+def perturb(payload, data):
+    """Drop a key, shorten or lengthen a list, or put junk at one place in
+    a JSON tree; the walk stops at a random depth."""
+    root = container = {"root": payload}
+    key, node = "root", payload
+    while isinstance(node, (dict, list)) and node and data.draw(st.booleans()):
+        container = node
+        key = data.draw(st.sampled_from(list(node) if isinstance(node, dict)
+                                        else range(len(node))))
+        node = container[key]
+    action = data.draw(st.sampled_from(["drop", "junk", "shorten", "lengthen"]))
+    if action == "drop":
+        del container[key]
+    elif action == "junk":
+        container[key] = data.draw(JUNK)
+    elif isinstance(node, list) and node:
+        if action == "shorten":
+            node.pop()
+        else:
+            node.append(json.loads(json.dumps(node[-1])))
+    return root.get("root")
+
+
+class TestEvalFuzz:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_perturbed_checkpoint_exits_0_or_2(self, tmp_path, data):
+        head = None if data.draw(st.booleans()) else make_orthoplex(4)
+        model = network.init_model(3, [5, 2], head, seed=0, trainable_classes=4)
+        payload = network.model_to_dict(model)
+        for _ in range(data.draw(st.integers(1, 3))):
+            payload = perturb(payload, data)
+        path = tmp_path / "ckpt.json"
+        path.write_text(json.dumps(payload))
+        assert run(["eval", "--checkpoint", str(path), "--blobs-classes", "2",
+                    "--blobs-dim", "3", "--blobs-per-class", "5",
+                    "--out", str(tmp_path / "report.json")]) in (0, 2)

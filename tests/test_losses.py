@@ -7,7 +7,7 @@ from polyhead import losses
 from polyhead.losses import (AngularMargin, DegenerateFeatureError,
                              DimensionError, FixedSoftmax, LabelError,
                              MarginError, NormScaled, PlainCE, fixed_softmax_loss,
-                             grad_check, logits, margin_loss, maximal_margin,
+                             grad_check, margin_loss, maximal_margin,
                              norm_scaled_loss, plain_ce)
 from polyhead.polytope import make_cube, make_orthoplex, make_simplex
 
@@ -47,34 +47,10 @@ def well_conditioned(kind, w, f, y, margin=0.0):
 
 
 class TestLogits:
-    def test_aligned_feature(self):
-        w = make_simplex(5)
-        f = 3.0 * w.rows[2][None, :]
-        z = logits(w, f)
-        assert z[0, 2] == pytest.approx(3.0, abs=1e-12)
-
-    def test_orthogonal_feature(self):
-        w = make_orthoplex(4)
-        f = np.array([[0.0, 2.0]])
-        z = logits(w, f)
-        assert z[0, 0] == 0.0 and z[0, 1] == 0.0
-
-    def test_matches_triple_loop(self):
-        rng = np.random.default_rng(7)
-        w = make_cube(6)
-        f = rng.normal(size=(3, w.dim))
-        b = rng.normal(size=w.num_classes)
-        z = logits(w, f, b)
-        for n in range(3):
-            for j in range(w.num_classes):
-                acc = b[j]
-                for k in range(w.dim):
-                    acc += w.rows[j, k] * f[n, k]
-                assert z[n, j] == pytest.approx(acc, abs=1e-12)
-
     def test_dimension_error(self):
         with pytest.raises(DimensionError):
-            logits(make_simplex(4), np.zeros((2, 5)))
+            losses.evaluate(PlainCE(), make_simplex(4), np.zeros((2, 5)),
+                            np.zeros(2, dtype=int))
 
 
 class TestPlainCE:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from polyhead.metrics import accuracy, export_scatter, geometry_report
-from polyhead.polytope import make_simplex
+from polyhead.polytope import ClassifierWeights, make_simplex
 
 
 class TestAccuracy:
@@ -96,6 +96,26 @@ class TestGeometryReport:
         payload = json.loads(path.read_text())
         assert payload["phi"] == w.phi
         assert len(payload["per_class"]) == 3
+
+    def test_strict_json_writes_null_for_non_finite(self, tmp_path):
+        import json
+        w = make_simplex(4)
+        baseline = ClassifierWeights(None, 4, w.dim, w.rows.copy(), math.nan,
+                                     trainable=True)
+        feats = np.repeat(w.rows[2][None, :], 3, axis=0)
+        labels = np.full(3, 2)
+        path = tmp_path / "report.json"
+        geometry_report(baseline, feats, labels, labels).save(path)
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+        payload = json.loads(path.read_text(), parse_constant=refuse)
+        assert payload["phi"] is None
+        absent = payload["per_class"][0]
+        assert absent["mean_angle_to_weight"] is None
+        assert absent["angle_std"] is None
+        assert payload["per_class"][2]["mean_angle_to_weight"] == pytest.approx(
+            0.0, abs=1e-7)
 
 
 class TestExportScatter:

@@ -368,6 +368,16 @@ class TestTrain:
         model, _ = train(model, blobs, cfg)
         assert not np.array_equal(model.head.rows, before)
 
+    def test_accuracy_counted_before_the_step(self):
+        # one batch per epoch: epoch 0 scores the initial model
+        blobs = make_blobs(4, 3, 10, 1.0, 6.0, seed=63)
+        model = init_model(3, [8, 3], None, seed=64, trainable_classes=4)
+        expected = float((predict(model, blobs.inputs) == blobs.labels).mean())
+        cfg = TrainConfig(loss=losses.PlainCE(), epochs=1, seed=65,
+                          hidden_widths=[8, 3], batch_size=len(blobs), lr=0.5)
+        _, log = train(model, blobs, cfg)
+        assert log[0].train_accuracy == expected
+
     def test_label_overflow(self):
         w, blobs, model, cfg = self._blob_setup()
         blobs.labels[0] = 9

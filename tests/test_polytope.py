@@ -173,7 +173,34 @@ class TestVerifyGeometry:
             verify_geometry(bad)
 
 
+def loop_orthoplex(K, d):
+    """Per-vertex loop reference for make_orthoplex."""
+    verts = np.zeros((K, d))
+    for i in range(K):
+        verts[i, i // 2] = 1.0 if i % 2 == 0 else -1.0
+    return verts
+
+
+def loop_cube(K, d):
+    """Per-coordinate loop reference for make_cube."""
+    scale = 1.0 / math.sqrt(d)
+    verts = np.empty((K, d))
+    for i in range(K):
+        for j in range(d):
+            verts[i, j] = scale if (i >> (d - 1 - j)) & 1 else -scale
+    return verts
+
+
 class TestInvariants:
+    # explicit dims past 64 shift the cube's bit matrix beyond an int64
+    @pytest.mark.parametrize("maker,reference", [(make_orthoplex, loop_orthoplex),
+                                                 (make_cube, loop_cube)])
+    def test_matches_loop_reference_bitwise(self, maker, reference):
+        sizes = [(K, None) for K in [*range(2, 130), 1000, 4096]]
+        for K, dim in sizes + [(3, 7), (5, 8), (4, 70), (7, 65)]:
+            w = maker(K, dim)
+            assert w.rows.tobytes() == reference(K, w.dim).tobytes()
+
     @pytest.mark.parametrize("maker", [make_simplex, make_orthoplex, make_cube])
     def test_unit_norms_k2_to_200(self, maker):
         for K in range(2, 201):
