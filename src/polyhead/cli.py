@@ -45,82 +45,89 @@ def _reading():
         raise ConfigError(str(exc)) from exc
 
 
-def _require_keys(section: dict, allowed: set, required: set, where: str) -> None:
+_REQUIRED = object()
+
+# Every key of a train config: section -> key -> (JSON type, default), where
+# the default _REQUIRED marks a key that must be given.  A list is a list of
+# integers.  The blobs keys after "type" are make_blobs' arguments in order.
+_SECTIONS = {
+    "config": {"seed": (int, _REQUIRED), "epochs": (int, _REQUIRED),
+               "batch_size": (int, 512), "lr": (float, 0.0005),
+               "hidden_widths": (list, _REQUIRED), "loss": (dict, _REQUIRED),
+               "classifier": (dict, _REQUIRED), "dataset": (dict, _REQUIRED),
+               "out_dir": (str, "run")},
+    "classifier": {"kind": (str, _REQUIRED), "classes": (int, _REQUIRED),
+                   "trainable": (bool, False)},
+    "loss": {"kind": (str, _REQUIRED), "kappa": (float, losses.KAPPA_DEFAULT),
+             "m": (float, "max")},
+    "blobs": {"type": (str, _REQUIRED), "classes": (int, _REQUIRED),
+              "dim": (int, _REQUIRED), "per_class": (int, _REQUIRED),
+              "spread": (float, _REQUIRED), "separation": (float, _REQUIRED),
+              "seed": (int, _REQUIRED)},
+    "idx": {"type": (str, _REQUIRED), "images": (str, _REQUIRED),
+            "labels": (str, _REQUIRED), "emnist": (bool, False),
+            "limit": (int, None)},
+}
+
+
+def _is_json(value, kind: type) -> bool:
+    """JSON type test: true/false is not a number; an integer is a float."""
+    if kind is list:
+        return isinstance(value, list) and all(_is_json(v, int) for v in value)
+    accepted = (int, float) if kind is float else kind
+    return isinstance(value, bool) == (kind is bool) and isinstance(value, accepted)
+
+
+def _section(section, where: str) -> dict:
+    """The keys of ``_SECTIONS[where]`` read from ``section``, with defaults
+    filled in and numbers as floats.  The margin ``m`` also takes "max",
+    its default."""
     if not isinstance(section, dict):
         raise ConfigError(f"{where} must be a JSON object, got {section!r}")
-    unknown = set(section) - allowed
+    keys = _SECTIONS[where]
+    unknown = set(section) - set(keys)
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
-    missing = required - set(section)
+    missing = {key for key, (_, default) in keys.items()
+               if default is _REQUIRED} - set(section)
     if missing:
         raise ConfigError(f"missing key(s) in {where}: {sorted(missing)}")
+    values = {}
+    for key, (kind, default) in keys.items():
+        value = section.get(key, default)
+        if key in section and not (_is_json(value, kind) or value == default == "max"):
+            raise ConfigError(f"{where} key {key!r} must be of type "
+                              f"{kind.__name__}, got {value!r}")
+        values[key] = float(value) if kind is float and value != "max" else value
+    return values
 
 
-_TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false",
-               str: "a string"}
-
-
-def _typed(section: dict, key: str, kind: type, where: str, default=None):
-    """``section[key]`` (or ``default``) if it is of JSON type ``kind``.
-
-    true/false is not a number, and an integer is a valid float.
-    """
-    value = section.get(key, default)
-    accepted = (int, float) if kind is float else kind
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
-        raise ConfigError(f"{where} key {key!r} must be {_TYPE_NAMES[kind]}, "
-                          f"got {value!r}")
-    return kind(value)
-
-
-def _parse_loss(section: dict, phi: float) -> tuple:
-    _require_keys(section, {"kind", "kappa", "m"}, {"kind"}, "loss")
-    kind = section["kind"]
-    kappa = _typed(section, "kappa", float, "loss", losses.KAPPA_DEFAULT)
-    m = (phi if section.get("m", "max") == "max"
-         else _typed(section, "m", float, "loss"))
-    if kind == "plain_ce":
-        return losses.PlainCE(), {"kind": kind}
-    if kind == "fixed_softmax":
-        return losses.FixedSoftmax(), {"kind": kind}
-    if kind == "norm_scaled":
-        return losses.NormScaled(kappa), {"kind": kind, "kappa": kappa}
-    if kind == "angular_margin":
-        return (losses.AngularMargin(kappa, m),
-                {"kind": kind, "kappa": kappa, "m": m})
-    raise ConfigError(f"unknown loss kind {kind!r}")
+def _parse_loss(section, phi: float) -> tuple:
+    """The loss kind a config names, and its echo for config_resolved.json."""
+    loss = _section(section, "loss")
+    name = loss.pop("kind")
+    if name not in losses.KINDS:
+        raise ConfigError(f"unknown loss kind {name!r}")
+    if loss["m"] == "max":
+        loss["m"] = phi
+    kind = losses.KINDS[name]
+    kind = kind(**{f.name: loss[f.name] for f in dataclasses.fields(kind)})
+    return kind, {"kind": name, **dataclasses.asdict(kind)}
 
 
 def _load_dataset(section: dict) -> datamod.LabeledBatch:
-    if not isinstance(section, dict):
-        raise ConfigError(f"dataset must be a JSON object, got {section!r}")
     kind = section.get("type")
+    if kind not in ("blobs", "idx"):
+        raise ConfigError(f"dataset type must be 'blobs' or 'idx', got {kind!r}")
+    values = _section(section, kind)
     if kind == "blobs":
-        _require_keys(section, {"type", "classes", "dim", "per_class", "spread",
-                                "separation", "seed"},
-                      {"type", "classes", "dim", "per_class", "spread",
-                       "separation", "seed"}, "dataset")
-        return datamod.make_blobs(
-            _typed(section, "classes", int, "dataset"),
-            _typed(section, "dim", int, "dataset"),
-            _typed(section, "per_class", int, "dataset"),
-            _typed(section, "spread", float, "dataset"),
-            _typed(section, "separation", float, "dataset"),
-            _typed(section, "seed", int, "dataset"))
-    if kind == "idx":
-        _require_keys(section, {"type", "images", "labels", "emnist", "limit"},
-                      {"type", "images", "labels"}, "dataset")
-        batch = datamod.load_idx(_typed(section, "images", str, "dataset"),
-                                 _typed(section, "labels", str, "dataset"),
-                                 emnist=_typed(section, "emnist", bool, "dataset",
-                                               False))
-        if "limit" in section:
-            limit = _typed(section, "limit", int, "dataset")
-            if limit < 1:
-                raise ConfigError(f"dataset limit must be at least 1, got {limit}")
-            batch = datamod.LabeledBatch(batch.inputs[:limit], batch.labels[:limit])
-        return batch
-    raise ConfigError(f"dataset type must be 'blobs' or 'idx', got {kind!r}")
+        return datamod.make_blobs(*list(values.values())[1:])
+    batch = datamod.load_idx(values["images"], values["labels"],
+                             emnist=values["emnist"])
+    limit = values["limit"]
+    if limit is not None and limit < 1:
+        raise ConfigError(f"dataset limit must be at least 1, got {limit}")
+    return datamod.LabeledBatch(batch.inputs[:limit], batch.labels[:limit])
 
 
 def _tolerance(text: str) -> float:
@@ -152,54 +159,37 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
-def _run_train(config: dict, out_dir_arg) -> int:
+def cmd_train(args) -> int:
     with _reading():
-        _require_keys(config, {"seed", "epochs", "batch_size", "lr", "hidden_widths",
-                               "loss", "classifier", "dataset", "out_dir"},
-                      {"seed", "epochs", "hidden_widths", "loss", "classifier",
-                       "dataset"}, "config")
-        out_dir = Path(out_dir_arg or _typed(config, "out_dir", str, "config", "run"))
-        cls = config["classifier"]
-        _require_keys(cls, {"kind", "classes", "trainable"}, {"kind", "classes"},
-                      "classifier")
-        kind = PolytopeKind(cls["kind"])
-        weights = make_weights(kind, _typed(cls, "classes", int, "classifier"))
-        trainable = _typed(cls, "trainable", bool, "classifier", False)
+        config = json.loads(Path(args.config).read_text())
+        cfg = _section(config, "config")
+        out_dir = Path(args.out_dir or cfg["out_dir"])
+        classifier = _section(cfg["classifier"], "classifier")
+        weights = make_weights(PolytopeKind(classifier["kind"]), classifier["classes"])
+        loss_kind, loss_echo = _parse_loss(cfg["loss"], weights.phi)
+        dataset = _load_dataset(cfg["dataset"])
 
-        loss_kind, loss_echo = _parse_loss(config["loss"], weights.phi)
-        dataset = _load_dataset(config["dataset"])
-
-        hidden = config["hidden_widths"]
-        if not isinstance(hidden, list) or any(
-                isinstance(w, bool) or not isinstance(w, int) for w in hidden):
-            raise ConfigError(f"hidden_widths must be a list of integers, "
-                              f"got {hidden!r}")
+        hidden = cfg["hidden_widths"]
         if not hidden or hidden[-1] != weights.dim:
             hidden = hidden + [weights.dim]  # embedding layer appended when omitted
-        seed = _typed(config, "seed", int, "config")
-        train_cfg = network.TrainConfig(
-            loss=loss_kind,
-            epochs=_typed(config, "epochs", int, "config"),
-            seed=seed,
-            hidden_widths=hidden,
-            batch_size=_typed(config, "batch_size", int, "config", 512),
-            lr=_typed(config, "lr", float, "config", 0.0005),
-        )
-        if train_cfg.epochs < 1:
-            raise ConfigError(f"epochs must be at least 1, got {train_cfg.epochs}")
-        if train_cfg.batch_size < 1:
-            raise ConfigError(f"batch_size must be at least 1, "
-                              f"got {train_cfg.batch_size}")
+        for key in ("epochs", "batch_size"):
+            if cfg[key] < 1:
+                raise ConfigError(f"{key} must be at least 1, got {cfg[key]}")
         if dataset.labels.max() >= weights.num_classes:
             raise ConfigError(f"dataset label {dataset.labels.max()} needs more than "
                               f"the classifier's {weights.num_classes} classes")
-        if trainable:
-            model = network.init_model(dataset.inputs.shape[1], hidden, None, seed,
+        train_cfg = network.TrainConfig(loss=loss_kind, epochs=cfg["epochs"],
+                                        seed=cfg["seed"], hidden_widths=hidden,
+                                        batch_size=cfg["batch_size"], lr=cfg["lr"])
+        if classifier["trainable"]:
+            model = network.init_model(dataset.inputs.shape[1], hidden, None,
+                                       cfg["seed"],
                                        trainable_classes=weights.num_classes)
             # the polytope the baseline stands in for
             model.head = dataclasses.replace(model.head, phi=weights.phi)
         else:
-            model = network.init_model(dataset.inputs.shape[1], hidden, weights, seed)
+            model = network.init_model(dataset.inputs.shape[1], hidden, weights,
+                                       cfg["seed"])
     model, log = network.train(model, dataset, train_cfg)
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -229,12 +219,6 @@ def _run_train(config: dict, out_dir_arg) -> int:
     print(f"min_pairwise_mean_angle={report.min_pairwise_mean_angle:.6f} "
           f"phi={report.phi:.6f}")
     return EXIT_OK
-
-
-def cmd_train(args) -> int:
-    with open(args.config) as fh, _reading():
-        config = json.load(fh)
-    return _run_train(config, args.out_dir)
 
 
 def cmd_eval(args) -> int:

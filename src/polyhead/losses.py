@@ -80,6 +80,8 @@ class AngularMargin:
 
 
 LossKind = Union[PlainCE, FixedSoftmax, NormScaled, AngularMargin]
+KINDS = {"plain_ce": PlainCE, "fixed_softmax": FixedSoftmax,
+         "norm_scaled": NormScaled, "angular_margin": AngularMargin}
 
 
 @dataclass

@@ -53,8 +53,8 @@ class TrainConfig:
     epochs: int
     seed: int
     hidden_widths: List[int]
-    batch_size: int = 512
-    lr: float = 0.0005
+    batch_size: int
+    lr: float
 
 
 @dataclass
@@ -134,7 +134,7 @@ def backward(model: MlpModel, cache, grad_features: np.ndarray) -> ModelGrads:
 
 @dataclass
 class AdamState:
-    lr: float = 0.0005
+    lr: float
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
