@@ -179,8 +179,8 @@ def cmd_train(args) -> int:
             raise ConfigError(f"dataset label {dataset.labels.max()} needs more than "
                               f"the classifier's {weights.num_classes} classes")
         train_cfg = network.TrainConfig(loss=loss_kind, epochs=cfg["epochs"],
-                                        seed=cfg["seed"], hidden_widths=hidden,
-                                        batch_size=cfg["batch_size"], lr=cfg["lr"])
+                                        seed=cfg["seed"], batch_size=cfg["batch_size"],
+                                        lr=cfg["lr"])
         if classifier["trainable"]:
             model = network.init_model(dataset.inputs.shape[1], hidden, None,
                                        cfg["seed"],

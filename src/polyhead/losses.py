@@ -2,7 +2,7 @@
 
 One cross-entropy over the logits ``s * g(f) . h(w_j)``, returning the
 batch-mean loss and the analytic gradient with respect to the raw
-feature batch (and, on request, the raw head rows).  ``g`` unit-normalizes
+feature batch (and, for a trainable head, the raw head rows).  ``g`` unit-normalizes
 the features and ``h`` the head rows; a fixed head's rows are unit
 already.  With a margin ``m > 0`` the target logit becomes
 ``s * cos(theta_y + m)``.  The four loss kinds set these switches:
@@ -141,25 +141,22 @@ def plain_ce(z: np.ndarray, labels: np.ndarray) -> LossResult:
     return LossResult(float(per_sample.mean()), grad, per_sample)
 
 
-def fixed_softmax_loss(weights, features: np.ndarray, labels: np.ndarray,
-                       want_weight_grad: bool = False) -> LossResult:
+def fixed_softmax_loss(weights, features: np.ndarray,
+                       labels: np.ndarray) -> LossResult:
     """Cross-entropy over raw-feature inner products with unit head rows."""
-    return evaluate(FixedSoftmax(), weights, features, labels, want_weight_grad)
+    return evaluate(FixedSoftmax(), weights, features, labels)
 
 
 def norm_scaled_loss(weights, features: np.ndarray, labels: np.ndarray,
-                     kappa: float = KAPPA_DEFAULT,
-                     want_weight_grad: bool = False) -> LossResult:
+                     kappa: float = KAPPA_DEFAULT) -> LossResult:
     """Cross-entropy on kappa-scaled cosine logits kappa * cos(theta_j)."""
-    return evaluate(NormScaled(kappa), weights, features, labels, want_weight_grad)
+    return evaluate(NormScaled(kappa), weights, features, labels)
 
 
 def margin_loss(weights, features: np.ndarray, labels: np.ndarray,
-                kappa: float = KAPPA_DEFAULT, m: float = 0.0,
-                want_weight_grad: bool = False) -> LossResult:
+                kappa: float = KAPPA_DEFAULT, m: float = 0.0) -> LossResult:
     """Additive angular margin: the target-class logit is kappa*cos(theta_y + m)."""
-    return evaluate(AngularMargin(kappa, m), weights, features, labels,
-                    want_weight_grad)
+    return evaluate(AngularMargin(kappa, m), weights, features, labels)
 
 
 def maximal_margin(weights: ClassifierWeights) -> float:
@@ -181,7 +178,7 @@ def _switches(kind: LossKind) -> tuple:
 
 
 def evaluate(kind: LossKind, weights: ClassifierWeights, features: np.ndarray,
-             labels: np.ndarray, want_weight_grad: bool = False) -> LossResult:
+             labels: np.ndarray) -> LossResult:
     """Cross-entropy over ``s * g(f) . h(w_j)`` for a fixed or trainable head.
 
     With ``m > 0`` the target logit is ``s * cos(theta_y + m)``, computed
@@ -218,7 +215,7 @@ def evaluate(kind: LossKind, weights: ClassifierWeights, features: np.ndarray,
     res.grad_features = grad_inner @ rows
     if normalize_features:
         res.grad_features = _chain_normalization(res.grad_features, f, norms)
-    if want_weight_grad:
+    if weights.trainable:
         res.grad_weights = grad_inner.T @ f
         if row_norms is not None:
             res.grad_weights = _chain_normalization(res.grad_weights, rows,

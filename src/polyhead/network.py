@@ -21,6 +21,9 @@ from .polytope import (ClassifierWeights, StructuralError, from_dict as weights_
                        to_dict as weights_to_dict)
 
 PRELU_SLOPE_INIT = 0.25
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class CacheError(ValueError):
@@ -52,7 +55,6 @@ class TrainConfig:
     loss: losses.LossKind
     epochs: int
     seed: int
-    hidden_widths: List[int]
     batch_size: int
     lr: float
 
@@ -135,9 +137,6 @@ def backward(model: MlpModel, cache, grad_features: np.ndarray) -> ModelGrads:
 @dataclass
 class AdamState:
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)
@@ -173,15 +172,14 @@ def adam_step(model: MlpModel, grads: ModelGrads, state: AdamState):
     if len(garr) != len(params):
         raise ValueError("gradient/parameter count mismatch")
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
     for p, g, m, v in zip(params, garr, state.m, state.v):
         if g.shape != p.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter {p.shape}")
-        m += (1.0 - b1) * (g - m)
-        v += (1.0 - b2) * (g * g - v)
-        m_hat = m / (1.0 - b1 ** state.t)
-        v_hat = v / (1.0 - b2 ** state.t)
-        p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        m += (1.0 - ADAM_BETA1) * (g - m)
+        v += (1.0 - ADAM_BETA2) * (g * g - v)
+        m_hat = m / (1.0 - ADAM_BETA1 ** state.t)
+        v_hat = v / (1.0 - ADAM_BETA2 ** state.t)
+        p -= state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return model, state
 
 
@@ -204,8 +202,7 @@ def train(model: MlpModel, data: LabeledBatch, config: TrainConfig):
         correct = 0
         for batch in batches(data, config.batch_size, config.seed, epoch):
             feats, _, cache = forward(model, batch.inputs)
-            res = losses.evaluate(config.loss, model.head, feats, batch.labels,
-                                  want_weight_grad=model.head.trainable)
+            res = losses.evaluate(config.loss, model.head, feats, batch.labels)
             loss_sum += res.value * len(batch)
             unit, _ = losses.unit_rows(model.head)  # before the step moves them
             correct += int((np.argmax(feats @ unit.T, axis=1) == batch.labels).sum())

@@ -167,7 +167,7 @@ def test_criterion_5_desk_scale_geometry():
     hidden = [64, 9]
     model = network.init_model(9, hidden, w, seed=8)
     cfg = network.TrainConfig(loss=losses.AngularMargin(30.0, w.phi),
-                              epochs=50, seed=9, hidden_widths=hidden,
+                              epochs=50, seed=9,
                               batch_size=64, lr=0.005)
     model, _ = network.train(model, blobs, cfg)
     feats, _, _ = network.forward(model, blobs.inputs)
@@ -199,7 +199,7 @@ def test_criterion_6_mnist_desk_scale():
         hidden = [256, w.dim]
         model = network.init_model(784, hidden, w, seed=11)
         cfg = network.TrainConfig(loss=losses.AngularMargin(30.0, w.phi),
-                                  epochs=10, seed=12, hidden_widths=hidden,
+                                  epochs=10, seed=12,
                                   batch_size=512, lr=0.0005)
         model, _ = network.train(model, train_set, cfg)
         preds = network.predict(model, test_set.inputs)
@@ -213,7 +213,7 @@ def test_criterion_7_frozen_head_invariant():
     w = make_orthoplex(2, dim=2)
     blobs = data.make_blobs(2, 2, 60, 1.0, 6.0, seed=1)
     cfg = network.TrainConfig(loss=losses.AngularMargin(30.0, w.phi),
-                              epochs=10, seed=201, hidden_widths=[8, 2],
+                              epochs=10, seed=201,
                               batch_size=32, lr=0.005)
     fixed = network.init_model(2, [8, 2], w, seed=101)
     fixed, _ = network.train(fixed, blobs, cfg)

@@ -119,8 +119,7 @@ def full_model_grad_check(model, x, y, loss_kind, step=1e-6):
         return losses.evaluate(loss_kind, model.head, feats, y).value
 
     feats, _, cache = forward(model, x)
-    res = losses.evaluate(loss_kind, model.head, feats, y,
-                          want_weight_grad=trainable)
+    res = losses.evaluate(loss_kind, model.head, feats, y)
     grads = backward(model, cache, res.grad_features)
     analytic = []
     for g in grads.layers:
@@ -252,7 +251,7 @@ class TestAdam:
         adam_step(model, grads, state)
         m_hat = g  # (1-b1)g / (1-b1)
         v_hat = g * g
-        expected = w_before - 0.01 * m_hat / (np.sqrt(v_hat) + state.eps)
+        expected = w_before - 0.01 * m_hat / (np.sqrt(v_hat) + network.ADAM_EPS)
         assert np.allclose(model.layers[0].w, expected, atol=1e-15)
 
     def test_fixed_head_untouched(self):
@@ -319,7 +318,7 @@ class TestTrain:
         blobs = make_blobs(2, 2, 60, 1.0, 6.0, seed=seed)
         model = init_model(2, [8, 2], w, seed=seed + 100)
         cfg = TrainConfig(loss=losses.AngularMargin(30.0, w.phi), epochs=20,
-                          seed=seed + 200, hidden_widths=[8, 2], batch_size=32,
+                          seed=seed + 200, batch_size=32,
                           lr=0.005)
         return w, blobs, model, cfg
 
@@ -364,7 +363,7 @@ class TestTrain:
         model = init_model(2, [4, 2], None, seed=61, trainable_classes=2)
         before = model.head.rows.copy()
         cfg = TrainConfig(loss=losses.AngularMargin(30.0, 0.5), epochs=5,
-                          seed=62, hidden_widths=[4, 2], batch_size=32, lr=0.01)
+                          seed=62, batch_size=32, lr=0.01)
         model, _ = train(model, blobs, cfg)
         assert not np.array_equal(model.head.rows, before)
 
@@ -374,7 +373,7 @@ class TestTrain:
         model = init_model(3, [8, 3], None, seed=64, trainable_classes=4)
         expected = float((predict(model, blobs.inputs) == blobs.labels).mean())
         cfg = TrainConfig(loss=losses.PlainCE(), epochs=1, seed=65,
-                          hidden_widths=[8, 3], batch_size=len(blobs), lr=0.5)
+                          batch_size=len(blobs), lr=0.5)
         _, log = train(model, blobs, cfg)
         assert log[0].train_accuracy == expected
 
