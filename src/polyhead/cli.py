@@ -5,7 +5,8 @@ Subcommands: ``gen-weights`` (emit a polytope head as JSON), ``check``
 dump artifacts), ``eval`` (score a checkpoint on a dataset).
 
 Exit codes: 0 success, 1 verification failure, 2 usage or config error
-(including a malformed JSON file or one with missing keys), 3 I/O error.
+(including a malformed JSON file or one with missing keys, a training run
+that diverges, and a checkpoint that gives non-finite features), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import math
 import sys
 from contextlib import contextmanager
 from pathlib import Path
+
+import numpy as np
 
 from . import data as datamod
 from . import losses, metrics, network
@@ -243,6 +246,8 @@ def cmd_eval(args) -> int:
                               f"checkpoint input dim {model.input_dim}")
 
     feats, _, _ = network.forward(model, dataset.inputs)
+    if not np.isfinite(feats).all():
+        raise ConfigError("the checkpoint gives non-finite features on this dataset")
     preds = network.predict(model, dataset.inputs)
     report = metrics.geometry_report(model.head, feats, dataset.labels, preds)
     print(f"accuracy={report.accuracy:.4f}")
@@ -299,7 +304,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except OSError as exc:
         code, message = EXIT_IO, str(exc)
-    except ConfigError as exc:
+    except (ConfigError, network.DivergenceError) as exc:
         code, message = EXIT_USAGE, str(exc)
     print(f"error: {message}", file=sys.stderr)
     return code

@@ -30,6 +30,10 @@ class CacheError(ValueError):
     """Backward called with a cache from a different forward pass."""
 
 
+class DivergenceError(ValueError):
+    """Training reached a non-finite loss or parameter."""
+
+
 @dataclass
 class Layer:
     w: np.ndarray       # (out, in)
@@ -200,9 +204,11 @@ def train(model: MlpModel, data: LabeledBatch, config: TrainConfig):
     for epoch in range(config.epochs):
         loss_sum = 0.0
         correct = 0
-        for batch in batches(data, config.batch_size, config.seed, epoch):
+        for i, batch in enumerate(batches(data, config.batch_size, config.seed, epoch)):
             feats, _, cache = forward(model, batch.inputs)
             res = losses.evaluate(config.loss, model.head, feats, batch.labels)
+            if not math.isfinite(res.value):
+                raise DivergenceError(f"loss {res.value} at epoch {epoch} batch {i}")
             loss_sum += res.value * len(batch)
             unit, _ = losses.unit_rows(model.head)  # before the step moves them
             correct += int((np.argmax(feats @ unit.T, axis=1) == batch.labels).sum())
@@ -210,6 +216,9 @@ def train(model: MlpModel, data: LabeledBatch, config: TrainConfig):
             grads.head_rows = res.grad_weights
             adam_step(model, grads, state)
         log.append(EpochStats(epoch, loss_sum / len(data), correct / len(data)))
+    if not all(np.isfinite(p).all() for p in _trainable_params(model)):
+        raise DivergenceError(f"non-finite parameter after the step of epoch {epoch} "
+                              f"batch {i}")
     return model, log
 
 

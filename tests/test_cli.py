@@ -200,6 +200,13 @@ class TestTrain:
         assert run(["train", "--config", str(path)]) == 2
         assert not (tmp_path / "run").exists()
 
+    def test_diverged_run_exits_2(self, tmp_path, capsys):
+        path, _ = blob_config(tmp_path, lr=1e300, loss={"kind": "plain_ce"})
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run(["train", "--config", str(path)]) == 2
+        assert "loss nan at epoch 0 batch 1" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_training_errors_propagate(self, tmp_path, monkeypatch):
         # only reading the config maps to an exit code; a fault in the
         # computation keeps its traceback
@@ -276,9 +283,10 @@ class TestEval:
         lambda p: p["layers"][1]["w"][0].__setitem__(0, math.nan),
         lambda p: p["head"].update(type="trainable", rows=[[1.0, 0.0], [0.0, 0.0]]),
         lambda p: p.update(input_dim=math.inf),
+        lambda p: p["layers"][0]["w"][0].__setitem__(0, 1e308),
     ], ids=["trainable_rows_too_wide", "trainable_rows_1d", "fixed_head_other_d",
             "b_shorter_than_w", "w_wider_than_input_dim", "nan_weight",
-            "zero_trainable_row", "infinite_input_dim"])
+            "zero_trainable_row", "infinite_input_dim", "overflowing_weight"])
     def test_inconsistent_checkpoint(self, tmp_path, edit):
         model = network.init_model(3, [5, 2], make_orthoplex(4), seed=0)
         payload = network.model_to_dict(model)

@@ -377,6 +377,21 @@ class TestTrain:
         _, log = train(model, blobs, cfg)
         assert log[0].train_accuracy == expected
 
+    @pytest.mark.parametrize("batch_size, where", [
+        (16, "loss nan at epoch 0 batch 1"),
+        (40, "non-finite parameter after the step of epoch 0 batch 0"),
+    ], ids=["loss", "last_step"])
+    def test_divergence_names_epoch_and_batch(self, batch_size, where):
+        # an infinite step size makes the parameters nan after one step;
+        # with one batch only the check after the last step can see it
+        blobs = make_blobs(4, 3, 10, 1.0, 6.0, seed=63)
+        model = init_model(3, [8, 3], None, seed=64, trainable_classes=4)
+        cfg = TrainConfig(loss=losses.PlainCE(), epochs=1, seed=65,
+                          batch_size=batch_size, lr=math.inf)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(network.DivergenceError, match=where):
+            train(model, blobs, cfg)
+
     def test_label_overflow(self):
         w, blobs, model, cfg = self._blob_setup()
         blobs.labels[0] = 9
