@@ -114,7 +114,11 @@ def _parse_loss(section, phi: float) -> tuple:
     if loss["m"] == "max":
         loss["m"] = phi
     kind = losses.KINDS[name]
-    kind = kind(**{f.name: loss[f.name] for f in dataclasses.fields(kind)})
+    fields = [f.name for f in dataclasses.fields(kind)]
+    ignored = set(section).difference(fields, ["kind"])
+    if ignored:
+        raise ConfigError(f"loss kind {name!r} takes no {sorted(ignored)}")
+    kind = kind(**{field: loss[field] for field in fields})
     return kind, {"kind": name, **dataclasses.asdict(kind)}
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from polyhead import cli, network
+from polyhead import cli, data, network
 from polyhead.polytope import load_json, make_orthoplex, make_simplex, to_dict
 
 
@@ -190,12 +190,39 @@ class TestTrain:
         {"dataset": {"type": "blobs", "classes": 5, "dim": 3,
                      "per_class": 100, "spread": 1.0, "separation": 6.0,
                      "seed": 6}},
+        {"loss": {"kind": "norm_scaled", "m": -1}},
+        {"loss": {"kind": "plain_ce", "kappa": 3.0}},
+        {"loss": {"kind": "angular_margin", "m": "maxx"}},
+        {"loss": {"kind": "angular_margin", "m": True}},
+        {"loss": {"kind": 5}},
+        {"loss": []},
+        {"dataset": {"type": "idx", "images": "images", "labels": "labels",
+                     "limit": None}},
+        {"dataset": {"type": "idx", "images": "images", "labels": "labels",
+                     "limit": 0}},
+        {"dataset": {"type": "idx", "images": "images", "labels": "labels",
+                     "emnist": 0}},
+        {"dataset": {"type": "blobs", "classes": 4, "dim": 3,
+                     "per_class": 100, "spread": 1.0, "separation": 6.0,
+                     "seed": 6, "colour": "red"}},
+        {"batch_size": 512.0},
+        {"classifier": {"kind": "simplex", "classes": 4, "trainable": 0}},
+        {"out_dir": 5},
+        {"classifier": {"kind": "simplex"}},
+        {"classifier": "simplex"},
     ], ids=["epochs_zero", "epochs_bool", "seed_str", "batch_size_float",
             "hidden_widths_str", "hidden_width_bool", "classes_str",
             "trainable_str", "lr_str", "kappa_bool", "blobs_seed_bool",
             "idx_paths_int", "dataset_list", "batch_size_zero",
-            "labels_exceed_classes"])
-    def test_config_types_and_ranges(self, tmp_path, overrides):
+            "labels_exceed_classes", "norm_scaled_takes_no_m",
+            "plain_ce_takes_no_kappa", "m_maxx", "m_bool", "loss_kind_int",
+            "loss_list", "limit_null", "limit_zero", "emnist_int",
+            "blobs_unknown_key", "batch_size_default_as_float", "trainable_int",
+            "out_dir_int", "classes_missing", "classifier_str"])
+    def test_config_types_and_ranges(self, tmp_path, monkeypatch, overrides):
+        monkeypatch.chdir(tmp_path)  # a valid IDX pair for the idx cases
+        data.write_idx(data.LabeledBatch(np.eye(4), np.arange(4)), "images",
+                       "labels", 2, 2)
         path, _ = blob_config(tmp_path, **overrides)
         assert run(["train", "--config", str(path)]) == 2
         assert not (tmp_path / "run").exists()
