@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -262,6 +264,36 @@ class TestTrain:
                      "features.csv"):
             assert ((tmp_path / "a" / name).read_bytes()
                     == (tmp_path / "b" / name).read_bytes())
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+TYPE_NAMES = {int: "integer", float: "number", bool: "true/false", str: "string",
+              list: "list of integers", dict: "object"}
+
+
+class TestReadme:
+    def test_config_example_trains(self, tmp_path):
+        example = README.read_text().split("```json\n")[1].split("```")[0]
+        path = tmp_path / "run.json"
+        path.write_text(example)
+        assert run(["train", "--config", str(path),
+                    "--out-dir", str(tmp_path / "run")]) == 0
+
+    def test_key_table_matches_the_config_reader(self):
+        rows = re.findall(r"^\| (\w+) +\| `(\w+)` +\| ([^|]+?) +\| ([^|]+?) +\|$",
+                          README.read_text(), re.M)
+        assert [(section, key) for section, key, _, _ in rows] == [
+            (section, key) for section, keys in cli._SECTIONS.items()
+            for key in keys]
+        for section, key, type_name, default in rows:
+            kind, value = cli._SECTIONS[section][key]
+            assert type_name.startswith(TYPE_NAMES[kind])
+            if default == "required":
+                assert value is cli._REQUIRED
+            elif default == "every item":
+                assert value is None
+            else:
+                assert json.loads(default.strip("`")) == value
 
 
 class TestEval:
