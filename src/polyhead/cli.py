@@ -99,8 +99,9 @@ def _section(section, where: str) -> dict:
     for key, (kind, default) in keys.items():
         value = section.get(key, default)
         if key in section and not (_is_json(value, kind) or value == default == "max"):
-            raise ConfigError(f"{where} key {key!r} must be of type "
-                              f"{kind.__name__}, got {value!r}")
+            type_name = "list of int" if kind is list else kind.__name__
+            raise ConfigError(f"{where} key {key!r} must be of type {type_name}, "
+                              f"got {value!r}")
         values[key] = float(value) if kind is float and value != "max" else value
     return values
 
@@ -113,12 +114,11 @@ def _parse_loss(section, phi: float) -> tuple:
         raise ConfigError(f"unknown loss kind {name!r}")
     if loss["m"] == "max":
         loss["m"] = phi
-    kind = losses.KINDS[name]
-    fields = [f.name for f in dataclasses.fields(kind)]
+    fields = [f.name for f in dataclasses.fields(losses.KINDS[name])]
     ignored = set(section).difference(fields, ["kind"])
     if ignored:
         raise ConfigError(f"loss kind {name!r} takes no {sorted(ignored)}")
-    kind = kind(**{field: loss[field] for field in fields})
+    kind = losses.KINDS[name](**{field: loss[field] for field in fields})
     return kind, {"kind": name, **dataclasses.asdict(kind)}
 
 

@@ -2,9 +2,9 @@
 
 One cross-entropy over the logits ``s * g(f) . h(w_j)``, returning the
 batch-mean loss and the analytic gradient with respect to the raw
-feature batch (and, for a trainable head, the raw head rows).  ``g`` unit-normalizes
-the features and ``h`` the head rows; a fixed head's rows are unit
-already.  With a margin ``m > 0`` the target logit becomes
+feature batch (and, for a trainable head, the raw head rows).  ``g``
+unit-normalizes the features and ``h`` the head rows; a fixed head's rows
+are unit already.  With a margin ``m > 0`` the target logit becomes
 ``s * cos(theta_y + m)``.  The four loss kinds set these switches:
 
   kind            g    h    s      m
