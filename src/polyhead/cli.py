@@ -188,15 +188,8 @@ def cmd_train(args) -> int:
         train_cfg = network.TrainConfig(loss=loss_kind, epochs=cfg["epochs"],
                                         seed=cfg["seed"], batch_size=cfg["batch_size"],
                                         lr=cfg["lr"])
-        if classifier["trainable"]:
-            model = network.init_model(dataset.inputs.shape[1], hidden, None,
-                                       cfg["seed"],
-                                       trainable_classes=weights.num_classes)
-            # the polytope the baseline stands in for
-            model.head = dataclasses.replace(model.head, phi=weights.phi)
-        else:
-            model = network.init_model(dataset.inputs.shape[1], hidden, weights,
-                                       cfg["seed"])
+        model = network.init_model(dataset.inputs.shape[1], hidden, weights,
+                                   cfg["seed"], classifier["trainable"])
     model, log = network.train(model, dataset, train_cfg)
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -213,7 +206,7 @@ def cmd_train(args) -> int:
 
     network.save_checkpoint(model, out_dir / "checkpoint.json", extra=resolved)
 
-    feats, _, _ = network.forward(model, dataset.inputs)
+    feats, _ = network.forward(model, dataset.inputs)
     preds = network.predict(model, dataset.inputs)
     report = metrics.geometry_report(model.head, feats, dataset.labels, preds)
     report.save(out_dir / "geometry.json")
@@ -249,7 +242,7 @@ def cmd_eval(args) -> int:
             raise ConfigError(f"dataset input dim {dataset.inputs.shape[1]} != "
                               f"checkpoint input dim {model.input_dim}")
 
-    feats, _, _ = network.forward(model, dataset.inputs)
+    feats, _ = network.forward(model, dataset.inputs)
     if not np.isfinite(feats).all():
         raise ConfigError("the checkpoint gives non-finite features on this dataset")
     preds = network.predict(model, dataset.inputs)

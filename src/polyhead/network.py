@@ -49,12 +49,6 @@ class MlpModel:
 
 
 @dataclass
-class ModelGrads:
-    layers: List[Layer]  # same shapes, holding gradients
-    head_rows: Optional[np.ndarray] = None
-
-
-@dataclass
 class TrainConfig:
     loss: losses.LossKind
     epochs: int
@@ -70,13 +64,15 @@ class EpochStats:
     train_accuracy: float
 
 
-def init_model(input_dim: int, hidden_widths: List[int],
-               head: Optional[ClassifierWeights], seed: int,
-               trainable_classes: Optional[int] = None) -> MlpModel:
-    """He-initialized MLP.  ``head`` is a ClassifierWeights for a fixed
-    head; pass ``trainable_classes`` (with head=None) for the baseline."""
+def init_model(input_dim: int, hidden_widths: List[int], head: ClassifierWeights,
+               seed: int, trainable: bool = False) -> MlpModel:
+    """He-initialized MLP on ``head``.  With ``trainable`` the baseline's
+    rows, of the head's shape, are drawn after the layers and the head
+    keeps only its ``phi``, the vertex angle of the polytope it stands in for."""
     if not hidden_widths or any(w < 1 for w in hidden_widths):
         raise ValueError(f"hidden widths must be positive, got {hidden_widths}")
+    if head.dim != hidden_widths[-1]:
+        raise ValueError(f"last hidden width {hidden_widths[-1]} != head dim {head.dim}")
     rng = np.random.default_rng(seed)
     layers = []
     fan_in = input_dim
@@ -85,22 +81,15 @@ def init_model(input_dim: int, hidden_widths: List[int],
         layers.append(Layer(w, np.zeros(width), np.full(width, PRELU_SLOPE_INIT)))
         fan_in = width
 
-    if head is not None:
-        if head.dim != hidden_widths[-1]:
-            raise ValueError(
-                f"last hidden width {hidden_widths[-1]} != head dim {head.dim}")
-    else:
-        if trainable_classes is None:
-            raise ValueError("need ClassifierWeights or trainable_classes")
-        d = hidden_widths[-1]
-        rows = rng.normal(0.0, np.sqrt(2.0 / d), size=(trainable_classes, d))
-        head = ClassifierWeights(None, trainable_classes, d, rows, math.nan, True)
+    if trainable:
+        rows = rng.normal(0.0, np.sqrt(2.0 / head.dim), size=head.rows.shape)
+        head = ClassifierWeights(None, *rows.shape, rows, head.phi, True)
     return MlpModel(input_dim, layers, head)
 
 
 def forward(model: MlpModel, batch: np.ndarray):
-    """Returns (features, logits, cache).  Logits are raw inner products
-    against the head rows; loss kinds apply their own normalization."""
+    """Returns (features, cache); the loss kinds score the features
+    against the head."""
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.input_dim:
         raise ValueError(f"batch shape {x.shape}, expected (N, {model.input_dim})")
@@ -110,20 +99,28 @@ def forward(model: MlpModel, batch: np.ndarray):
         pre = act @ layer.w.T + layer.b
         cache.append((act, pre))
         act = np.where(pre > 0, pre, layer.slope * pre)
-    z = act @ model.head.rows.T
-    return act, z, cache
+    return act, cache
 
 
-def backward(model: MlpModel, cache, grad_features: np.ndarray) -> ModelGrads:
-    """Backbone parameter gradients from dL/d(features).
+def parameters(model: MlpModel) -> List[np.ndarray]:
+    """What Adam moves: each layer's w, b and slope, then the head rows if
+    the head is trainable."""
+    params = [p for layer in model.layers for p in (layer.w, layer.b, layer.slope)]
+    if model.head.trainable:
+        params.append(model.head.rows)
+    return params
 
-    The head contributes through grad_features only; trainable-head row
-    gradients come from the loss (see ``train``).
-    """
+
+def backward(model: MlpModel, cache, grad_features: np.ndarray,
+             grad_rows: Optional[np.ndarray] = None) -> List[np.ndarray]:
+    """Gradients in the order of ``parameters(model)``, from dL/d(features)
+    and, for a trainable head, dL/d(head rows) as the loss gives them."""
     if len(cache) != len(model.layers):
         raise CacheError(f"cache holds {len(cache)} layers, model has "
                          f"{len(model.layers)}")
-    grads = [None] * len(model.layers)
+    if model.head.trainable and grad_rows is None:
+        raise ValueError("a trainable head requires its grad_rows")
+    grads = []
     grad_act = np.asarray(grad_features, dtype=np.float64)
     for i in reversed(range(len(model.layers))):
         layer = model.layers[i]
@@ -133,9 +130,10 @@ def backward(model: MlpModel, cache, grad_features: np.ndarray) -> ModelGrads:
         neg = pre < 0
         grad_pre = grad_act * np.where(neg, layer.slope, 1.0)
         grad_slope = (grad_act * pre * neg).sum(axis=0)
-        grads[i] = Layer(grad_pre.T @ x_in, grad_pre.sum(axis=0), grad_slope)
-        grad_act = grad_pre @ layer.w
-    return ModelGrads(grads)
+        grads[:0] = [grad_pre.T @ x_in, grad_pre.sum(axis=0), grad_slope]
+        if i:  # the gradient of the inputs is not needed
+            grad_act = grad_pre @ layer.w
+    return grads + [grad_rows] if model.head.trainable else grads
 
 
 @dataclass
@@ -146,37 +144,17 @@ class AdamState:
     v: list = field(default_factory=list)
 
 
-def _trainable_params(model: MlpModel):
-    params = []
-    for layer in model.layers:
-        params.extend([layer.w, layer.b, layer.slope])
-    if model.head.trainable:
-        params.append(model.head.rows)
-    return params
-
-
-def _grad_arrays(model: MlpModel, grads: ModelGrads):
-    arrays = []
-    for g in grads.layers:
-        arrays.extend([g.w, g.b, g.slope])
-    if model.head.trainable:
-        if grads.head_rows is None:
-            raise ValueError("trainable head requires head_rows gradient")
-        arrays.append(grads.head_rows)
-    return arrays
-
-
-def adam_step(model: MlpModel, grads: ModelGrads, state: AdamState):
-    """In-place Adam update with bias correction; fixed heads untouched."""
-    params = _trainable_params(model)
-    garr = _grad_arrays(model, grads)
+def adam_step(model: MlpModel, grads: List[np.ndarray], state: AdamState):
+    """In-place Adam update with bias correction of ``parameters(model)``;
+    fixed heads untouched."""
+    params = parameters(model)
     if not state.m:
         state.m = [np.zeros_like(p) for p in params]
         state.v = [np.zeros_like(p) for p in params]
-    if len(garr) != len(params):
+    if len(grads) != len(params):
         raise ValueError("gradient/parameter count mismatch")
     state.t += 1
-    for p, g, m, v in zip(params, garr, state.m, state.v):
+    for p, g, m, v in zip(params, grads, state.m, state.v):
         if g.shape != p.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter {p.shape}")
         m += (1.0 - ADAM_BETA1) * (g - m)
@@ -189,7 +167,7 @@ def adam_step(model: MlpModel, grads: ModelGrads, state: AdamState):
 
 def predict(model: MlpModel, batch: np.ndarray) -> np.ndarray:
     """Argmax cosine similarity to head rows; ties break to the lowest index."""
-    feats, _, _ = forward(model, batch)
+    feats, _ = forward(model, batch)
     unit, _ = losses.unit_rows(model.head)
     return np.argmax(feats @ unit.T, axis=1)
 
@@ -205,18 +183,17 @@ def train(model: MlpModel, data: LabeledBatch, config: TrainConfig):
         loss_sum = 0.0
         correct = 0
         for i, batch in enumerate(batches(data, config.batch_size, config.seed, epoch)):
-            feats, _, cache = forward(model, batch.inputs)
+            feats, cache = forward(model, batch.inputs)
             res = losses.evaluate(config.loss, model.head, feats, batch.labels)
             if not math.isfinite(res.value):
                 raise DivergenceError(f"loss {res.value} at epoch {epoch} batch {i}")
             loss_sum += res.value * len(batch)
             unit, _ = losses.unit_rows(model.head)  # before the step moves them
             correct += int((np.argmax(feats @ unit.T, axis=1) == batch.labels).sum())
-            grads = backward(model, cache, res.grad_features)
-            grads.head_rows = res.grad_weights
+            grads = backward(model, cache, res.grad_features, res.grad_weights)
             adam_step(model, grads, state)
         log.append(EpochStats(epoch, loss_sum / len(data), correct / len(data)))
-    if not all(np.isfinite(p).all() for p in _trainable_params(model)):
+    if not all(np.isfinite(p).all() for p in parameters(model)):
         raise DivergenceError(f"non-finite parameter after the step of epoch {epoch} "
                               f"batch {i}")
     return model, log

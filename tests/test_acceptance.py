@@ -147,7 +147,7 @@ def test_criterion_4_gradient_suite():
             model = network.init_model(5, [4, 3], w4, seed=seed + 500)
             x = rng.normal(size=(3, 5))
             y = rng.integers(0, 4, 3)
-            feats, _, _ = network.forward(model, x)
+            feats, _ = network.forward(model, x)
             if not grad_resolvable(kind, w4, feats, y):
                 continue
             worst_model = max(worst_model,
@@ -170,7 +170,7 @@ def test_criterion_5_desk_scale_geometry():
                               epochs=50, seed=9,
                               batch_size=64, lr=0.005)
     model, _ = network.train(model, blobs, cfg)
-    feats, _, _ = network.forward(model, blobs.inputs)
+    feats, _ = network.forward(model, blobs.inputs)
     preds = network.predict(model, blobs.inputs)
     rep = metrics.geometry_report(w, feats, blobs.labels, preds)
     max_angle = max(c.mean_angle_to_weight for c in rep.per_class)
@@ -219,8 +219,7 @@ def test_criterion_7_frozen_head_invariant():
     fixed, _ = network.train(fixed, blobs, cfg)
     frozen_ok = np.array_equal(fixed.head.rows, w.rows)
 
-    trainable = network.init_model(2, [8, 2], None, seed=101,
-                                   trainable_classes=2)
+    trainable = network.init_model(2, [8, 2], w, seed=101, trainable=True)
     before = trainable.head.rows.copy()
     trainable, _ = network.train(trainable, blobs, cfg)
     moved = not np.array_equal(trainable.head.rows, before)

@@ -403,8 +403,8 @@ class TestEvalFuzz:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_perturbed_checkpoint_exits_0_or_2(self, tmp_path, data):
-        head = None if data.draw(st.booleans()) else make_orthoplex(4)
-        model = network.init_model(3, [5, 2], head, seed=0, trainable_classes=4)
+        model = network.init_model(3, [5, 2], make_orthoplex(4), seed=0,
+                                   trainable=data.draw(st.booleans()))
         payload = network.model_to_dict(model)
         for _ in range(data.draw(st.integers(1, 3))):
             payload = perturb(payload, data)

@@ -7,8 +7,9 @@ import pytest
 from polyhead import losses, network
 from polyhead.data import make_blobs
 from polyhead.network import (AdamState, CacheError, TrainConfig, adam_step,
-                              backward, forward, init_model, predict, train)
-from polyhead.polytope import make_cube, make_orthoplex, make_simplex
+                              backward, forward, init_model, parameters, predict,
+                              train)
+from polyhead.polytope import ClassifierWeights, make_cube, make_orthoplex, make_simplex
 
 
 def naive_forward(model, x):
@@ -28,21 +29,12 @@ def naive_forward(model, x):
     return np.array(acts)
 
 
-def flatten_params(model):
-    arrays = []
-    for layer in model.layers:
-        arrays.extend([layer.w, layer.b, layer.slope])
-    if model.head.trainable:
-        arrays.append(model.head.rows)
-    return arrays
-
-
 class TestInit:
     def test_same_seed_identical(self):
         w = make_simplex(4)
         a = init_model(6, [5, 3], w, seed=11)
         b = init_model(6, [5, 3], w, seed=11)
-        for pa, pb in zip(flatten_params(a), flatten_params(b)):
+        for pa, pb in zip(parameters(a), parameters(b)):
             assert np.array_equal(pa, pb)
 
     def test_he_variance(self):
@@ -70,22 +62,21 @@ class TestInit:
 class TestForward:
     def test_zero_input_zero_features(self):
         model = init_model(4, [6, 2], make_simplex(3), seed=3)
-        feats, z, _ = forward(model, np.zeros((2, 4)))
+        feats, _ = forward(model, np.zeros((2, 4)))
         assert np.all(feats == 0.0)
-        assert np.all(z == 0.0)
 
     def test_identity_layer_positive_inputs(self):
         model = init_model(3, [3], make_simplex(4), seed=4)
         model.layers[0].w = np.eye(3)
         x = np.abs(np.random.default_rng(5).normal(size=(4, 3))) + 0.1
-        feats, _, _ = forward(model, x)
+        feats, _ = forward(model, x)
         assert np.allclose(feats, x, atol=0)
 
     def test_matches_naive_loops(self):
         rng = np.random.default_rng(6)
         model = init_model(5, [4, 3], make_simplex(4), seed=7)
         x = rng.normal(size=(6, 5))
-        feats, _, _ = forward(model, x)
+        feats, _ = forward(model, x)
         assert np.abs(feats - naive_forward(model, x)).max() < 1e-12
 
     def test_shape_mismatch(self):
@@ -112,23 +103,17 @@ def grad_resolvable(kind, w, feats, y, step=1e-6):
 
 def full_model_grad_check(model, x, y, loss_kind, step=1e-6):
     """Finite differences over every trainable parameter."""
-    trainable = model.head.trainable
 
     def loss_value():
-        feats, _, _ = forward(model, x)
+        feats, _ = forward(model, x)
         return losses.evaluate(loss_kind, model.head, feats, y).value
 
-    feats, _, cache = forward(model, x)
+    feats, cache = forward(model, x)
     res = losses.evaluate(loss_kind, model.head, feats, y)
-    grads = backward(model, cache, res.grad_features)
-    analytic = []
-    for g in grads.layers:
-        analytic.extend([g.w, g.b, g.slope])
-    if trainable:
-        analytic.append(res.grad_weights)
+    analytic = backward(model, cache, res.grad_features, res.grad_weights)
 
     worst = 0.0
-    for param, grad in zip(flatten_params(model), analytic):
+    for param, grad in zip(parameters(model), analytic):
         flat_p = param.reshape(-1)
         flat_g = grad.reshape(-1)
         for i in range(flat_p.size):
@@ -167,7 +152,7 @@ class TestBackward:
             model = init_model(5, [4, 3], w, seed=seed + 100)
             x = rng.normal(size=(3, 5))
             y = rng.integers(0, 4, 3)
-            feats, _, _ = forward(model, x)
+            feats, _ = forward(model, x)
             if not grad_resolvable(kind, w, feats, y):
                 continue  # saturated softmax: gradient below FD resolution
             assert full_model_grad_check(model, x, y, kind) < 1e-5
@@ -182,10 +167,10 @@ class TestBackward:
         ids=["plain_ce", "fixed_softmax", "norm_scaled", "angular_margin"])
     def test_trainable_head_gradients(self, kind, seed):
         rng = np.random.default_rng(seed)
-        model = init_model(5, [4, 3], None, seed=seed + 1, trainable_classes=4)
+        model = init_model(5, [4, 3], make_simplex(4), seed=seed + 1, trainable=True)
         x = rng.normal(size=(3, 5))
         y = rng.integers(0, 4, 3)
-        feats, _, _ = forward(model, x)
+        feats, _ = forward(model, x)
         assert losses.evaluate(kind, model.head, feats, y).per_sample.min() > 1e-6
         assert full_model_grad_check(model, x, y, kind) < 1e-5
 
@@ -196,10 +181,10 @@ class TestBackward:
         model.layers[0].b = np.array([-5.0, 0.0])
         model.layers[0].slope = np.array([0.0, 0.25])
         x = np.abs(np.random.default_rng(14).normal(size=(4, 2)))
-        feats, _, cache = forward(model, x)
+        feats, cache = forward(model, x)
         grads = backward(model, cache, np.ones_like(feats))
         # second-layer weight feeding from the dead unit gets zero gradient
-        assert np.all(grads.layers[1].w[:, 0] == 0.0)
+        assert np.all(grads[3][:, 0] == 0.0)
 
     def test_duplicated_batch_equals_single_sample(self):
         rng = np.random.default_rng(15)
@@ -211,17 +196,17 @@ class TestBackward:
         yN = np.repeat(y1, 6)
 
         def grads_for(x, y):
-            feats, _, cache = forward(model, x)
+            feats, cache = forward(model, x)
             res = losses.fixed_softmax_loss(w, feats, y)
             return backward(model, cache, res.grad_features)
 
         g1, gN = grads_for(x1, y1), grads_for(xN, yN)
-        for a, b in zip(g1.layers, gN.layers):
-            assert np.allclose(a.w, b.w, atol=1e-12)
+        for a, b in zip(g1[::3], gN[::3]):  # each layer's w
+            assert np.allclose(a, b, atol=1e-12)
 
     def test_stale_cache(self):
         model = init_model(4, [3, 2], make_simplex(3), seed=17)
-        _, _, cache = forward(model, np.zeros((2, 4)))
+        _, cache = forward(model, np.zeros((2, 4)))
         with pytest.raises(CacheError):
             backward(model, cache[:1], np.zeros((2, 2)))
 
@@ -229,15 +214,15 @@ class TestBackward:
 class TestAdam:
     def test_zero_gradient_no_change(self):
         model = init_model(3, [3, 2], make_simplex(3), seed=18)
-        before = [p.copy() for p in flatten_params(model)]
-        _, _, cache = forward(model, np.zeros((1, 3)))
+        before = [p.copy() for p in parameters(model)]
+        _, cache = forward(model, np.zeros((1, 3)))
         zero = backward(model, cache, np.zeros((1, 2)))
-        for g in zero.layers:
-            g.w[:], g.b[:], g.slope[:] = 0.0, 0.0, 0.0
+        for g in zero:
+            g[:] = 0.0
         state = AdamState(lr=0.1)
         adam_step(model, zero, state)
         assert state.t == 1
-        for p, q in zip(flatten_params(model), before):
+        for p, q in zip(parameters(model), before):
             assert np.array_equal(p, q)
 
     def test_first_step_hand_computed(self):
@@ -245,8 +230,7 @@ class TestAdam:
         model = init_model(2, [2], make_orthoplex(4), seed=19)
         w_before = model.layers[0].w.copy()
         g = np.array([[0.5, -2.0], [1e-3, 0.0]])
-        grads = network.ModelGrads([network.Layer(
-            g, np.zeros(2), np.zeros(2))])
+        grads = [g, np.zeros(2), np.zeros(2)]
         state = AdamState(lr=0.01)
         adam_step(model, grads, state)
         m_hat = g  # (1-b1)g / (1-b1)
@@ -260,7 +244,7 @@ class TestAdam:
         rng = np.random.default_rng(21)
         x = rng.normal(size=(4, 3))
         y = rng.integers(0, 3, 4)
-        feats, _, cache = forward(model, x)
+        feats, cache = forward(model, x)
         res = losses.fixed_softmax_loss(w, feats, y)
         grads = backward(model, cache, res.grad_features)
         before = model.head.rows.copy()
@@ -288,7 +272,7 @@ class TestPredict:
         assert predict(model, x)[0] == 0
 
     def test_zero_trainable_row_is_an_error(self):
-        model = init_model(2, [2], None, seed=26, trainable_classes=3)
+        model = init_model(2, [2], make_simplex(3), seed=26, trainable=True)
         model.head.rows[1] = 0.0  # has no direction to compare against
         with pytest.raises(losses.DegenerateFeatureError):
             predict(model, np.ones((1, 2)))
@@ -299,7 +283,7 @@ class TestPredict:
         model = init_model(5, [4, 3], w, seed=25)
         x = rng.normal(size=(8, 5))
         preds = predict(model, x)
-        feats, _, _ = forward(model, x)
+        feats, _ = forward(model, x)
         for n in range(8):
             best, best_cos = 0, -2.0
             fn = feats[n] / max(np.linalg.norm(feats[n]), 1e-300)
@@ -360,7 +344,8 @@ class TestTrain:
 
     def test_trainable_head_changes(self):
         blobs = make_blobs(2, 2, 40, 1.0, 6.0, seed=60)
-        model = init_model(2, [4, 2], None, seed=61, trainable_classes=2)
+        model = init_model(2, [4, 2], make_orthoplex(2, dim=2), seed=61,
+                           trainable=True)
         before = model.head.rows.copy()
         cfg = TrainConfig(loss=losses.AngularMargin(30.0, 0.5), epochs=5,
                           seed=62, batch_size=32, lr=0.01)
@@ -370,7 +355,7 @@ class TestTrain:
     def test_accuracy_counted_before_the_step(self):
         # one batch per epoch: epoch 0 scores the initial model
         blobs = make_blobs(4, 3, 10, 1.0, 6.0, seed=63)
-        model = init_model(3, [8, 3], None, seed=64, trainable_classes=4)
+        model = init_model(3, [8, 3], make_simplex(4), seed=64, trainable=True)
         expected = float((predict(model, blobs.inputs) == blobs.labels).mean())
         cfg = TrainConfig(loss=losses.PlainCE(), epochs=1, seed=65,
                           batch_size=len(blobs), lr=0.5)
@@ -385,7 +370,7 @@ class TestTrain:
         # an infinite step size makes the parameters nan after one step;
         # with one batch only the check after the last step can see it
         blobs = make_blobs(4, 3, 10, 1.0, 6.0, seed=63)
-        model = init_model(3, [8, 3], None, seed=64, trainable_classes=4)
+        model = init_model(3, [8, 3], make_simplex(4), seed=64, trainable=True)
         cfg = TrainConfig(loss=losses.PlainCE(), epochs=1, seed=65,
                           batch_size=batch_size, lr=math.inf)
         with np.errstate(over="ignore", invalid="ignore"), \
@@ -408,14 +393,15 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.json"
         network.save_checkpoint(model, path, extra={"note": 1})
         again = network.load_checkpoint(path)
-        fa, za, _ = forward(model, x)
-        fb, zb, _ = forward(again, x)
+        fa, _ = forward(model, x)
+        fb, _ = forward(again, x)
         assert np.array_equal(fa, fb)
-        assert np.array_equal(za, zb)
+        assert np.array_equal(model.head.rows, again.head.rows)
         assert np.array_equal(predict(model, x), predict(again, x))
 
     def test_trainable_head_round_trip(self, tmp_path):
-        model = init_model(3, [4, 2], None, seed=72, trainable_classes=5)
+        head = ClassifierWeights(None, 5, 2, np.zeros((5, 2)), math.nan)
+        model = init_model(3, [4, 2], head, seed=72, trainable=True)
         path = tmp_path / "ckpt.json"
         network.save_checkpoint(model, path)
         again = network.load_checkpoint(path)
