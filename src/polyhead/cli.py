@@ -242,7 +242,8 @@ def cmd_eval(args) -> int:
             raise ConfigError(f"dataset input dim {dataset.inputs.shape[1]} != "
                               f"checkpoint input dim {model.input_dim}")
 
-    feats, _ = network.forward(model, dataset.inputs)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked right after
+        feats, _ = network.forward(model, dataset.inputs)
     if not np.isfinite(feats).all():
         raise ConfigError("the checkpoint gives non-finite features on this dataset")
     preds = network.predict(model, dataset.inputs)

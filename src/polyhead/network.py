@@ -183,15 +183,18 @@ def train(model: MlpModel, data: LabeledBatch, config: TrainConfig):
         loss_sum = 0.0
         correct = 0
         for i, batch in enumerate(batches(data, config.batch_size, config.seed, epoch)):
-            feats, cache = forward(model, batch.inputs)
-            res = losses.evaluate(config.loss, model.head, feats, batch.labels)
-            if not math.isfinite(res.value):
-                raise DivergenceError(f"loss {res.value} at epoch {epoch} batch {i}")
-            loss_sum += res.value * len(batch)
-            unit, _ = losses.unit_rows(model.head)  # before the step moves them
-            correct += int((np.argmax(feats @ unit.T, axis=1) == batch.labels).sum())
-            grads = backward(model, cache, res.grad_features, res.grad_weights)
-            adam_step(model, grads, state)
+            # a diverging step overflows silently: the loss check here and
+            # the parameter check after the last step report it
+            with np.errstate(over="ignore", invalid="ignore"):
+                feats, cache = forward(model, batch.inputs)
+                res = losses.evaluate(config.loss, model.head, feats, batch.labels)
+                if not math.isfinite(res.value):
+                    raise DivergenceError(f"loss {res.value} at epoch {epoch} batch {i}")
+                loss_sum += res.value * len(batch)
+                unit, _ = losses.unit_rows(model.head)  # before the step moves them
+                correct += int((np.argmax(feats @ unit.T, axis=1) == batch.labels).sum())
+                grads = backward(model, cache, res.grad_features, res.grad_weights)
+                adam_step(model, grads, state)
         log.append(EpochStats(epoch, loss_sum / len(data), correct / len(data)))
     if not all(np.isfinite(p).all() for p in parameters(model)):
         raise DivergenceError(f"non-finite parameter after the step of epoch {epoch} "
@@ -202,15 +205,14 @@ def train(model: MlpModel, data: LabeledBatch, config: TrainConfig):
 def model_to_dict(model: MlpModel) -> dict:
     h = model.head
     if h.trainable:
-        head = {"type": "trainable", "rows": [list(map(float, r)) for r in h.rows]}
+        head = {"type": "trainable", "rows": h.rows.tolist()}
     else:
         head = {"type": "fixed", "weights": weights_to_dict(h)}
     return {
         "input_dim": model.input_dim,
         "layers": [
-            {"w": [list(map(float, r)) for r in layer.w],
-             "b": list(map(float, layer.b)),
-             "slope": list(map(float, layer.slope))}
+            {"w": layer.w.tolist(), "b": layer.b.tolist(),
+             "slope": layer.slope.tolist()}
             for layer in model.layers
         ],
         "head": head,
@@ -242,7 +244,6 @@ def model_from_dict(payload: dict) -> MlpModel:
     head_payload = payload["head"]
     if head_payload["type"] == "fixed":
         head = weights_from_dict(head_payload["weights"])
-        _finite_array(head.rows, 2, "head rows")
     else:
         rows = _finite_array(head_payload["rows"], 2, "head rows")
         head = ClassifierWeights(None, *rows.shape, rows, math.nan, True)

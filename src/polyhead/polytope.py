@@ -19,6 +19,9 @@ from typing import Optional
 import numpy as np
 
 DEFAULT_TOL = 1e-10
+# Entries of the largest matrix a maker may build, (d+1) x d for the simplex
+# and K x d otherwise: 128 MiB of float64, enough for the simplex of 4096 classes.
+MAX_HEAD_ENTRIES = 1 << 24
 
 
 class PolytopeKind(Enum):
@@ -28,7 +31,8 @@ class PolytopeKind(Enum):
 
 
 class ClassCountError(ValueError):
-    """Raised when the requested number of classes is below 2."""
+    """Raised when the requested number of classes is below 2, or needs a
+    matrix of more than MAX_HEAD_ENTRIES entries."""
 
 
 class StructuralError(ValueError):
@@ -102,13 +106,20 @@ def _finalize(kind: PolytopeKind, num_classes: int, rows: np.ndarray) -> Classif
 
 
 def _resolve_dim(kind: PolytopeKind, num_classes: int, dim) -> int:
+    """``dim``, or the family's smallest for K when None; checked before any
+    array is built."""
     minimum = embedding_dim(kind, num_classes)
     if dim is None:
-        return minimum
-    if dim < minimum:
+        dim = minimum
+    elif dim < minimum:
         raise ValueError(
             f"{kind.value} needs at least {minimum} dims for {num_classes} "
             f"classes, got {dim}")
+    rows = dim + 1 if kind is PolytopeKind.SIMPLEX else num_classes
+    if rows * dim > MAX_HEAD_ENTRIES:
+        raise ClassCountError(
+            f"{kind.value} with {num_classes} classes needs a {rows}x{dim} matrix, "
+            f"more than the {MAX_HEAD_ENTRIES} entries allowed")
     return int(dim)
 
 
@@ -227,15 +238,21 @@ def to_dict(weights: ClassifierWeights) -> dict:
         "K": weights.num_classes,
         "d": weights.dim,
         "phi": weights.phi,
-        "rows": [list(map(float, row)) for row in weights.rows],
+        "rows": weights.rows.tolist(),
     }
 
 
 def from_dict(payload: dict) -> ClassifierWeights:
+    """The head a JSON payload describes.  Raises StructuralError unless its
+    rows are finite, at least 2 and of the shape its header gives."""
     kind = PolytopeKind(payload["kind"])
     rows = np.asarray(payload["rows"], dtype=np.float64)
     if rows.ndim != 2 or rows.shape != (payload["K"], payload["d"]):
         raise StructuralError(f"rows shape {rows.shape} inconsistent with header")
+    if rows.shape[0] < 2:
+        raise StructuralError("fewer than 2 rows")
+    if not np.all(np.isfinite(rows)):
+        raise StructuralError("non-finite entries in weight rows")
     rows.setflags(write=False)
     return ClassifierWeights(
         kind=kind,

@@ -41,6 +41,14 @@ class TestGenWeights:
         assert run(["gen-weights", "--kind", "cube", "--classes", "4",
                     "--out", str(out)]) == 3
 
+    @pytest.mark.parametrize("kind", ["simplex", "orthoplex", "cube"])
+    def test_head_too_large(self, tmp_path, capsys, kind):
+        out = tmp_path / "w.json"
+        assert run(["gen-weights", "--kind", kind, "--classes", "100000000",
+                    "--out", str(out)]) == 2
+        assert "entries allowed" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCheck:
     def test_valid_file(self, tmp_path):
@@ -103,7 +111,9 @@ class TestCheck:
     @pytest.mark.parametrize("text", [
         "{ not json", "[1, 2]", '{"kind": "cube", "K": 2, "d": 1}',
         '{"kind": "prism", "K": 2, "d": 1, "phi": 1.0, "rows": [[1.0], [-1.0]]}',
-        '{"kind": "cube", "K": 2, "d": 1, "phi": 1.0, "rows": [[1.0], ["a"]]}'])
+        '{"kind": "cube", "K": 2, "d": 1, "phi": 1.0, "rows": [[1.0], ["a"]]}',
+        '{"kind": "cube", "K": 1, "d": 1, "phi": 1.0, "rows": [[1.0]]}',
+        '{"kind": "cube", "K": 2, "d": 1, "phi": 1.0, "rows": [[1.0], [NaN]]}'])
     def test_malformed_file(self, tmp_path, text):
         out = tmp_path / "w.json"
         out.write_text(text)
@@ -159,6 +169,8 @@ class TestTrain:
         assert run(["train", "--config", str(path)]) == 0
         ckpt = json.loads((tmp_path / "run" / "checkpoint.json").read_text())
         assert ckpt["head"]["type"] == "trainable"
+        report = json.loads((tmp_path / "run" / "geometry.json").read_text())
+        assert report["phi"] == make_simplex(4).phi  # the polytope it stands in for
 
     def test_fixed_head_identical_to_polytope(self, tmp_path):
         from polyhead.polytope import make_simplex
@@ -212,6 +224,10 @@ class TestTrain:
         {"out_dir": 5},
         {"classifier": {"kind": "simplex"}},
         {"classifier": "simplex"},
+        {"classifier": {"kind": "cube", "classes": 10 ** 8}},
+        {"dataset": {"type": "blobs", "classes": 10 ** 8, "dim": 3,
+                     "per_class": 1, "spread": 1.0, "separation": 6.0,
+                     "seed": 6}},
     ], ids=["epochs_zero", "epochs_bool", "seed_str", "batch_size_float",
             "hidden_widths_str", "hidden_width_bool", "classes_str",
             "trainable_str", "lr_str", "kappa_bool", "blobs_seed_bool",
@@ -220,7 +236,8 @@ class TestTrain:
             "plain_ce_takes_no_kappa", "m_maxx", "m_bool", "loss_kind_int",
             "loss_list", "limit_null", "limit_zero", "emnist_int",
             "blobs_unknown_key", "batch_size_default_as_float", "trainable_int",
-            "out_dir_int", "classes_missing", "classifier_str"])
+            "out_dir_int", "classes_missing", "classifier_str",
+            "classifier_too_large", "blobs_too_large"])
     def test_config_types_and_ranges(self, tmp_path, monkeypatch, overrides):
         monkeypatch.chdir(tmp_path)  # a valid IDX pair for the idx cases
         data.write_idx(data.LabeledBatch(np.eye(4), np.arange(4)), "images",
@@ -229,11 +246,11 @@ class TestTrain:
         assert run(["train", "--config", str(path)]) == 2
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverged_run_exits_2(self, tmp_path, capsys):
         path, _ = blob_config(tmp_path, lr=1e300, loss={"kind": "plain_ce"})
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert run(["train", "--config", str(path)]) == 2
-        assert "loss nan at epoch 0 batch 1" in capsys.readouterr().err
+        assert run(["train", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == "error: loss nan at epoch 0 batch 1\n"
         assert not (tmp_path / "run").exists()
 
     def test_training_errors_propagate(self, tmp_path, monkeypatch):
@@ -320,6 +337,13 @@ class TestEval:
                     str(tmp_path / "run" / "checkpoint.json"),
                     "--blobs-classes", "4", "--blobs-dim", "7"]) == 2
 
+    def test_blobs_too_large(self, tmp_path):
+        model = network.init_model(3, [5, 2], make_orthoplex(4), seed=0)
+        path = tmp_path / "ckpt.json"
+        network.save_checkpoint(model, path)
+        assert run(["eval", "--checkpoint", str(path), "--blobs-classes",
+                    "100000000", "--blobs-dim", "3"]) == 2
+
     def test_missing_checkpoint(self, tmp_path):
         assert run(["eval", "--checkpoint", str(tmp_path / "nope.json"),
                     "--blobs-classes", "2"]) == 3
@@ -346,6 +370,7 @@ class TestEval:
     ], ids=["trainable_rows_too_wide", "trainable_rows_1d", "fixed_head_other_d",
             "b_shorter_than_w", "w_wider_than_input_dim", "nan_weight",
             "zero_trainable_row", "infinite_input_dim", "overflowing_weight"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_inconsistent_checkpoint(self, tmp_path, edit):
         model = network.init_model(3, [5, 2], make_orthoplex(4), seed=0)
         payload = network.model_to_dict(model)

@@ -31,6 +31,14 @@ class TestEmbeddingDim:
             with pytest.raises(ClassCountError):
                 embedding_dim(kind, K)
 
+    def test_size_bound_edge(self):
+        # the simplex of 4097 classes is a 4097 x 4096 matrix, just over the bound
+        assert 4096 * 4095 <= polytope.MAX_HEAD_ENTRIES < 4097 * 4096
+        with pytest.raises(ClassCountError):
+            make_simplex(4097)
+        with pytest.raises(ClassCountError):
+            make_cube(4, dim=polytope.MAX_HEAD_ENTRIES // 4 + 1)
+
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_monotone_in_class_count(self, kind):
         dims = [embedding_dim(kind, K) for K in range(2, 201)]
