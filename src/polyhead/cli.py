@@ -196,8 +196,7 @@ def cmd_train(args) -> int:
     resolved = dict(config)
     resolved["loss"] = loss_echo
     resolved["hidden_widths"] = hidden
-    with open(out_dir / "config_resolved.json", "w") as fh:
-        json.dump(resolved, fh, indent=2)
+    (out_dir / "config_resolved.json").write_text(json.dumps(resolved, indent=2))
 
     with open(out_dir / "epochs.csv", "w") as fh:
         fh.write("epoch,mean_loss,train_accuracy\n")

@@ -8,15 +8,20 @@ reading of the normalized losses.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import List, Optional
 
 import numpy as np
 
 from .losses import unit_rows
+from .polytope import pairwise_angles
+
+# Rows of a scatter CSV turned into text per write: the text of a whole
+# 10k-row file would add about 10 MB to the peak memory of a run.
+CSV_CHUNK_ROWS = 1024
 
 
 @dataclass
@@ -62,8 +67,7 @@ class GeometryReport:
         }
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, allow_nan=False)
+        Path(path).write_text(json.dumps(self.to_dict(), indent=2, allow_nan=False))
 
 
 def _finite(value) -> Optional[float]:
@@ -89,22 +93,35 @@ def geometry_report(head, features: np.ndarray, labels: np.ndarray,
     if features.shape[1] != head.dim:
         raise ValueError(f"feature dim {features.shape[1]} != head dim {head.dim}")
     norms = np.linalg.norm(features, axis=1)
+    if labels.shape != norms.shape:
+        raise ValueError(f"labels of shape {labels.shape} for {len(norms)} feature rows")
     degenerate = int((norms == 0).sum())
+
+    # A stable sort by label keeps each class's rows in their original order,
+    # so a class's figures have the bits that a per-class mask gives; labels
+    # outside [0, K) fall outside every class's bounds.
+    keep = norms > 0
+    features, norms, kept_labels = features[keep], norms[keep], labels[keep]
+    order = np.argsort(kept_labels, kind="stable")
+    sorted_labels = kept_labels[order]
+    classes = np.arange(head.num_classes)
+    starts = np.searchsorted(sorted_labels, classes, side="left")
+    ends = np.searchsorted(sorted_labels, classes, side="right")
 
     per_class = []
     directions = []
-    for c in range(head.num_classes):
-        mask = (labels == c) & (norms > 0)
-        if not mask.any():
+    for c, start, end in zip(range(head.num_classes), starts.tolist(), ends.tolist()):
+        if start == end:
             per_class.append(ClassStats(c, False, 0, math.nan, math.nan, None))
             continue
-        unit = features[mask] / norms[mask, None]
+        idx = order[start:end]
+        unit = features[idx] / norms[idx, None]
         cos = np.clip(unit @ rows[c], -1.0, 1.0)
         angles = np.arccos(cos)
         mean_dir = unit.mean(axis=0)
         mean_norm = np.linalg.norm(mean_dir)
         mean_dir = mean_dir / mean_norm if mean_norm > 0 else None
-        per_class.append(ClassStats(c, True, int(mask.sum()),
+        per_class.append(ClassStats(c, True, end - start,
                                     float(angles.mean()), float(angles.std()),
                                     mean_dir))
         if mean_dir is not None:
@@ -113,10 +130,7 @@ def geometry_report(head, features: np.ndarray, labels: np.ndarray,
     if len(directions) < 2:
         min_angle, no_pairs = math.pi, True
     else:
-        dirs = np.vstack(directions)
-        gram = np.clip(dirs @ dirs.T, -1.0, 1.0)
-        iu = np.triu_indices(len(directions), k=1)
-        min_angle, no_pairs = float(np.arccos(gram[iu]).min()), False
+        min_angle, no_pairs = float(pairwise_angles(np.vstack(directions)).min()), False
 
     return GeometryReport(per_class, head.phi, min_angle, no_pairs,
                           accuracy(predictions, labels), degenerate)
@@ -133,8 +147,12 @@ def export_scatter(features: np.ndarray, labels: np.ndarray,
     if normalized:
         norms = np.linalg.norm(features, axis=1, keepdims=True)
         features = features / np.where(norms > 0, norms, 1.0)
+    header = ",".join(["label"] + [f"f{i}" for i in range(features.shape[1])])
+    # csv.writer's bytes: its \r\n line ends, and no float repr needs quoting
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label"] + [f"f{i}" for i in range(features.shape[1])])
-        for label, row in zip(labels, features):
-            writer.writerow([int(label)] + [repr(float(v)) for v in row])
+        fh.write(header + "\r\n")
+        for start in range(0, len(features), CSV_CHUNK_ROWS):
+            chunk = slice(start, start + CSV_CHUNK_ROWS)
+            fh.write("".join(",".join([str(label), *map(repr, row)]) + "\r\n"
+                             for label, row in zip(map(int, labels[chunk].tolist()),
+                                                   features[chunk].tolist())))

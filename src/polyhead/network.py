@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import List, Optional
 
 import numpy as np
@@ -257,8 +258,8 @@ def save_checkpoint(model: MlpModel, path, extra: Optional[dict] = None) -> None
     payload = model_to_dict(model)
     if extra:
         payload["config"] = extra
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
+    # json.dumps, unlike json.dump, runs the C encoder
+    Path(path).write_text(json.dumps(payload))
 
 
 def load_checkpoint(path) -> MlpModel:

@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -264,8 +265,8 @@ def from_dict(payload: dict) -> ClassifierWeights:
 
 
 def save_json(weights: ClassifierWeights, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(to_dict(weights), fh)
+    # json.dumps, unlike json.dump, runs the C encoder
+    Path(path).write_text(json.dumps(to_dict(weights)))
 
 
 def load_json(path) -> ClassifierWeights:
