@@ -240,6 +240,9 @@ def cmd_eval(args) -> int:
         if dataset.inputs.shape[1] != model.input_dim:
             raise ConfigError(f"dataset input dim {dataset.inputs.shape[1]} != "
                               f"checkpoint input dim {model.input_dim}")
+        if dataset.labels.max() >= model.head.num_classes:
+            raise ConfigError(f"dataset label {dataset.labels.max()} needs more than "
+                              f"the checkpoint's {model.head.num_classes} classes")
 
     with np.errstate(over="ignore", invalid="ignore"):  # checked right after
         feats, _ = network.forward(model, dataset.inputs)

@@ -17,6 +17,10 @@ from .polytope import make_simplex
 
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
+# Entries of the largest input matrix make_blobs may build, K * per_class x
+# dim: 512 MiB of float64, a blob set of MNIST's size (60k x 784) fits.  Like
+# polytope.MAX_HEAD_ENTRIES, it is checked before any array is built.
+MAX_BLOB_ENTRIES = 1 << 26
 
 
 class IdxFormatError(ValueError):
@@ -115,6 +119,9 @@ def make_blobs(num_classes: int, dim: int, per_class: int, spread: float,
         raise ValueError(f"dim must be positive, got {dim}")
     if per_class < 1:
         raise EmptyDatasetError("per_class must be at least 1")
+    if num_classes * per_class * dim > MAX_BLOB_ENTRIES:
+        raise ValueError(f"{num_classes} classes x {per_class} per class x {dim} dims "
+                         f"exceed MAX_BLOB_ENTRIES ({MAX_BLOB_ENTRIES}) entries")
     directions = make_simplex(num_classes).rows
     means = np.zeros((num_classes, dim))
     width = min(dim, directions.shape[1])

@@ -228,6 +228,9 @@ class TestTrain:
         {"dataset": {"type": "blobs", "classes": 10 ** 8, "dim": 3,
                      "per_class": 1, "spread": 1.0, "separation": 6.0,
                      "seed": 6}},
+        {"dataset": {"type": "blobs", "classes": 4, "dim": 10 ** 12,
+                     "per_class": 100, "spread": 1.0, "separation": 6.0,
+                     "seed": 6}},
     ], ids=["epochs_zero", "epochs_bool", "seed_str", "batch_size_float",
             "hidden_widths_str", "hidden_width_bool", "classes_str",
             "trainable_str", "lr_str", "kappa_bool", "blobs_seed_bool",
@@ -237,7 +240,7 @@ class TestTrain:
             "loss_list", "limit_null", "limit_zero", "emnist_int",
             "blobs_unknown_key", "batch_size_default_as_float", "trainable_int",
             "out_dir_int", "classes_missing", "classifier_str",
-            "classifier_too_large", "blobs_too_large"])
+            "classifier_too_large", "blobs_too_large", "blobs_dim_too_large"])
     def test_config_types_and_ranges(self, tmp_path, monkeypatch, overrides):
         monkeypatch.chdir(tmp_path)  # a valid IDX pair for the idx cases
         data.write_idx(data.LabeledBatch(np.eye(4), np.arange(4)), "images",
@@ -278,7 +281,7 @@ class TestTrain:
         assert run(["train", "--config", str(path),
                     "--out-dir", str(tmp_path / "b")]) == 0
         for name in ("checkpoint.json", "epochs.csv", "geometry.json",
-                     "features.csv"):
+                     "features.csv", "features_norm.csv", "config_resolved.json"):
             assert ((tmp_path / "a" / name).read_bytes()
                     == (tmp_path / "b" / name).read_bytes())
 
@@ -343,6 +346,31 @@ class TestEval:
         network.save_checkpoint(model, path)
         assert run(["eval", "--checkpoint", str(path), "--blobs-classes",
                     "100000000", "--blobs-dim", "3"]) == 2
+
+    @pytest.mark.parametrize("blobs", [["--blobs-dim", "1000000000000"],
+                                       ["--blobs-dim", "3", "--blobs-per-class",
+                                        "1000000000000"]], ids=["dim", "per_class"])
+    def test_blobs_entries_too_many(self, tmp_path, capsys, blobs):
+        model = network.init_model(3, [5, 2], make_orthoplex(4), seed=0)
+        path = tmp_path / "ckpt.json"
+        network.save_checkpoint(model, path)
+        assert run(["eval", "--checkpoint", str(path), "--blobs-classes", "2",
+                    *blobs]) == 2
+        assert "MAX_BLOB_ENTRIES" in capsys.readouterr().err
+
+    def test_labels_beyond_the_head(self, tmp_path, capsys):
+        model = network.init_model(3, [5, 2], make_orthoplex(4), seed=0)
+        path = tmp_path / "ckpt.json"
+        network.save_checkpoint(model, path)
+        blobs = ["--blobs-dim", "3", "--blobs-per-class", "5"]
+        assert run(["eval", "--checkpoint", str(path), "--blobs-classes", "4",
+                    *blobs]) == 0
+        capsys.readouterr()
+        assert run(["eval", "--checkpoint", str(path), "--blobs-classes", "5",
+                    *blobs, "--out", str(tmp_path / "report.json")]) == 2
+        assert capsys.readouterr().err == (
+            "error: dataset label 4 needs more than the checkpoint's 4 classes\n")
+        assert not (tmp_path / "report.json").exists()
 
     def test_missing_checkpoint(self, tmp_path):
         assert run(["eval", "--checkpoint", str(tmp_path / "nope.json"),

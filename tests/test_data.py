@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+from polyhead import data
 from polyhead.data import (EmptyDatasetError, IdxFormatError, LabeledBatch,
                            batches, load_idx, make_blobs, write_idx)
 
@@ -90,6 +91,16 @@ class TestMakeBlobs:
     def test_empty_per_class(self):
         with pytest.raises(EmptyDatasetError):
             make_blobs(3, 2, 0, 1.0, 5.0, seed=0)
+
+    @pytest.mark.parametrize("classes,dim,per_class", [
+        (2, 1, data.MAX_BLOB_ENTRIES // 2 + 1), (2, 10 ** 12, 1), (10 ** 6, 100, 1000)])
+    def test_too_many_entries_refused_before_any_array(self, monkeypatch, classes,
+                                                       dim, per_class):
+        def no_arrays(*args):  # the first array make_blobs builds
+            raise AssertionError("an array was built")
+        monkeypatch.setattr(data, "make_simplex", no_arrays)
+        with pytest.raises(ValueError, match="MAX_BLOB_ENTRIES"):
+            make_blobs(classes, dim, per_class, 1.0, 6.0, seed=0)
 
     def test_deterministic(self):
         a = make_blobs(4, 3, 10, 0.5, 4.0, seed=9)
