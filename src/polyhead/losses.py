@@ -123,22 +123,27 @@ def _check_labels(labels: np.ndarray, num_classes: int) -> np.ndarray:
     return labels.astype(np.int64)
 
 
-def _log_softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+def _cross_entropy(z: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Per-sample cross-entropy of the logits ``z``, which it overwrites with
+    the gradient of the batch mean.  Besides ``z``, only the exponentials
+    summed for the log-partition are a batch x K array."""
+    n = z.shape[0]
+    idx = np.arange(n)
+    z -= z.max(axis=1, keepdims=True)
+    z -= np.log(np.exp(z).sum(axis=1, keepdims=True))  # log-probabilities
+    per_sample = -z[idx, labels]
+    np.exp(z, out=z)
+    z[idx, labels] -= 1.0
+    z /= n
+    return per_sample
 
 
 def plain_ce(z: np.ndarray, labels: np.ndarray) -> LossResult:
     """Mean cross-entropy; gradient is with respect to the logits."""
-    z = np.asarray(z, dtype=np.float64)
+    z = np.array(z, dtype=np.float64)
     labels = _check_labels(labels, z.shape[1])
-    n = z.shape[0]
-    logp = _log_softmax(z)
-    per_sample = -logp[np.arange(n), labels]
-    grad = np.exp(logp)
-    grad[np.arange(n), labels] -= 1.0
-    grad /= n
-    return LossResult(float(per_sample.mean()), grad, per_sample)
+    per_sample = _cross_entropy(z, labels)
+    return LossResult(float(per_sample.mean()), z, per_sample)
 
 
 def fixed_softmax_loss(weights, features: np.ndarray,
@@ -196,27 +201,30 @@ def evaluate(kind: LossKind, weights: ClassifierWeights, features: np.ndarray,
         f, norms = _normalize(f, "feature")
     labels = _check_labels(labels, weights.num_classes)
 
-    inner = f @ rows.T  # cosines when both g and h normalize
-    z = scale * inner
+    # z holds the logits, then their gradient: cosines when both g and h
+    # normalize, scaled in place, through _cross_entropy, and back to dL/dz
+    z = f @ rows.T
     if m > 0.0:
-        idx = np.arange(inner.shape[0])
+        idx = np.arange(z.shape[0])
         cos_m, sin_m = math.cos(m), math.sin(m)
-        c_y = np.clip(inner[idx, labels], -1.0, 1.0)
+        c_y = np.clip(z[idx, labels], -1.0, 1.0)
         sin_y = np.sqrt(np.maximum(0.0, 1.0 - c_y * c_y))
         past_pi = c_y < -cos_m  # theta_y + m > pi
-        z[idx, labels] = scale * np.where(past_pi, -1.0,
-                                          c_y * cos_m - sin_y * sin_m)
         slope = np.where(past_pi, 0.0,
                          cos_m + sin_m * c_y / np.maximum(sin_y, SIN_FLOOR))
-    res = plain_ce(z, labels)
-    grad_inner = scale * res.grad_features
+    z *= scale
     if m > 0.0:
-        grad_inner[idx, labels] *= slope
-    res.grad_features = grad_inner @ rows
+        z[idx, labels] = scale * np.where(past_pi, -1.0,
+                                          c_y * cos_m - sin_y * sin_m)
+    per_sample = _cross_entropy(z, labels)
+    z *= scale
+    if m > 0.0:
+        z[idx, labels] *= slope
+    res = LossResult(float(per_sample.mean()), z @ rows, per_sample)
     if normalize_features:
         res.grad_features = _chain_normalization(res.grad_features, f, norms)
     if weights.trainable:
-        res.grad_weights = grad_inner.T @ f
+        res.grad_weights = z.T @ f
         if row_norms is not None:
             res.grad_weights = _chain_normalization(res.grad_weights, rows,
                                                     row_norms)
