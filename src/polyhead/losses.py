@@ -169,17 +169,19 @@ def maximal_margin(weights: ClassifierWeights) -> float:
     return weights.phi
 
 
+# (normalize features, normalize rows) of each loss kind
+_NORMALIZES = {PlainCE: (False, False), FixedSoftmax: (False, True),
+               NormScaled: (True, True), AngularMargin: (True, True)}
+
+
 def _switches(kind: LossKind) -> tuple:
     """(normalize features, normalize rows, scale, margin) of a loss kind."""
-    if isinstance(kind, PlainCE):
-        return False, False, 1.0, 0.0
-    if isinstance(kind, FixedSoftmax):
-        return False, True, 1.0, 0.0
-    if isinstance(kind, NormScaled):
-        return True, True, kind.kappa, 0.0
-    if isinstance(kind, AngularMargin):
-        return True, True, kind.kappa, kind.m
-    raise TypeError(f"unknown loss kind {kind!r}")
+    try:
+        normalize_features, normalize_rows = _NORMALIZES[type(kind)]
+    except KeyError:
+        raise TypeError(f"unknown loss kind {kind!r}") from None
+    return (normalize_features, normalize_rows, getattr(kind, "kappa", 1.0),
+            getattr(kind, "m", 0.0))
 
 
 def evaluate(kind: LossKind, weights: ClassifierWeights, features: np.ndarray,
