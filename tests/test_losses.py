@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from polyhead import losses
 from polyhead.losses import (AngularMargin, DegenerateFeatureError,
@@ -9,7 +11,7 @@ from polyhead.losses import (AngularMargin, DegenerateFeatureError,
                              MarginError, NormScaled, PlainCE, fixed_softmax_loss,
                              grad_check, margin_loss, maximal_margin,
                              norm_scaled_loss, plain_ce)
-from polyhead.polytope import make_cube, make_orthoplex, make_simplex
+from polyhead.polytope import ClassifierWeights, make_cube, make_orthoplex, make_simplex
 
 
 def numeric_grad(fn, x, step=1e-6):
@@ -38,7 +40,8 @@ def well_conditioned(kind, w, f, y, margin=0.0):
     if isinstance(kind, AngularMargin):
         margin = kind.m
     unit = f / np.linalg.norm(f, axis=1, keepdims=True)
-    theta = np.arccos(np.clip((unit * w.rows[y]).sum(axis=1), -1.0, 1.0))
+    rows, _ = losses.unit_rows(w)
+    theta = np.arccos(np.clip((unit * rows[y]).sum(axis=1), -1.0, 1.0))
     if theta.min() < 0.05 or theta.max() > math.pi - margin - 0.05:
         return False
     res = losses.evaluate(kind, w, f, y)
@@ -272,3 +275,195 @@ class TestGradCheck:
                 continue
             assert grad_check(kind, w, f, y) < 1e-5
             checked += 1
+
+
+class TestSwitches:
+    def test_table(self):
+        assert losses._switches(PlainCE()) == (False, False, 1.0, 0.0)
+        assert losses._switches(FixedSoftmax()) == (False, True, 1.0, 0.0)
+        assert losses._switches(NormScaled(7.0)) == (True, True, 7.0, 0.0)
+        assert losses._switches(AngularMargin(7.0, 0.3)) == (True, True, 7.0, 0.3)
+
+    def test_unknown_kind_is_type_error(self):
+        with pytest.raises(TypeError):
+            losses.evaluate(object(), make_simplex(3), np.ones((1, 2)), np.array([0]))
+
+
+# The kernel as it ran before evaluate worked inside its own logits buffer,
+# with a fresh array for every step.  The current kernel must give the same
+# bits on every loss kind, head type and batch shape.
+
+def switches_reference(kind):
+    if isinstance(kind, PlainCE):
+        return False, False, 1.0, 0.0
+    if isinstance(kind, FixedSoftmax):
+        return False, True, 1.0, 0.0
+    if isinstance(kind, NormScaled):
+        return True, True, kind.kappa, 0.0
+    if isinstance(kind, AngularMargin):
+        return True, True, kind.kappa, kind.m
+    raise TypeError(f"unknown loss kind {kind!r}")
+
+
+def log_softmax_reference(z):
+    shifted = z - z.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def plain_ce_reference(z, labels):
+    z = np.asarray(z, dtype=np.float64)
+    labels = losses._check_labels(labels, z.shape[1])
+    n = z.shape[0]
+    logp = log_softmax_reference(z)
+    per_sample = -logp[np.arange(n), labels]
+    grad = np.exp(logp)
+    grad[np.arange(n), labels] -= 1.0
+    grad /= n
+    return losses.LossResult(float(per_sample.mean()), grad, per_sample)
+
+
+def evaluate_reference(kind, weights, features, labels):
+    normalize_features, normalize_rows, scale, m = switches_reference(kind)
+    rows, row_norms = (losses.unit_rows(weights) if normalize_rows
+                       else (weights.rows, None))
+    f = np.asarray(features, dtype=np.float64)
+    if normalize_features:
+        f, norms = losses._normalize(f, "feature")
+    labels = losses._check_labels(labels, weights.num_classes)
+    inner = f @ rows.T
+    z = scale * inner
+    if m > 0.0:
+        idx = np.arange(inner.shape[0])
+        cos_m, sin_m = math.cos(m), math.sin(m)
+        c_y = np.clip(inner[idx, labels], -1.0, 1.0)
+        sin_y = np.sqrt(np.maximum(0.0, 1.0 - c_y * c_y))
+        past_pi = c_y < -cos_m
+        z[idx, labels] = scale * np.where(past_pi, -1.0,
+                                          c_y * cos_m - sin_y * sin_m)
+        slope = np.where(past_pi, 0.0,
+                         cos_m + sin_m * c_y / np.maximum(sin_y, losses.SIN_FLOOR))
+    res = plain_ce_reference(z, labels)
+    grad_inner = scale * res.grad_features
+    if m > 0.0:
+        grad_inner[idx, labels] *= slope
+    res.grad_features = grad_inner @ rows
+    if normalize_features:
+        res.grad_features = losses._chain_normalization(res.grad_features, f, norms)
+    if weights.trainable:
+        res.grad_weights = grad_inner.T @ f
+        if row_norms is not None:
+            res.grad_weights = losses._chain_normalization(res.grad_weights, rows,
+                                                           row_norms)
+    return res
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+def assert_same_bits(res, ref):
+    assert bits(res.value) == bits(ref.value)
+    for name in ("per_sample", "grad_features", "grad_weights"):
+        got, want = getattr(res, name), getattr(ref, name)
+        if want is None:
+            assert got is None, name
+        else:
+            assert got.shape == want.shape and np.array_equal(bits(got), bits(want)), name
+
+
+def cube_head(K, trainable):
+    """The cube head on K classes, or raw rows of its shape drawn as
+    ``network.init_model`` draws a trainable head."""
+    head = make_cube(K)
+    if not trainable:
+        return head
+    rows = np.random.default_rng(K).normal(0.0, math.sqrt(2.0 / head.dim),
+                                           size=head.rows.shape)
+    return ClassifierWeights(None, K, head.dim, rows, head.phi, True)
+
+
+def grid_kinds(head):
+    yield PlainCE()
+    yield FixedSoftmax()
+    for kappa in (1.0, 30.0, 64.0):
+        yield NormScaled(kappa)
+        for m in (0.0, 0.4, head.phi):
+            if m < math.pi:  # a 1-d cube's phi is pi
+                yield AngularMargin(kappa, m)
+
+
+class TestKernelMatchesReference:
+    @pytest.mark.parametrize("trainable", [False, True], ids=["fixed", "trainable"])
+    @pytest.mark.parametrize("K", [2, 10, 47, 1000])
+    def test_evaluate_bitwise(self, K, trainable):
+        head = cube_head(K, trainable)
+        unit, _ = losses.unit_rows(head)
+        rng = np.random.default_rng(K + trainable)
+        for n in (1, 2, 9, 512):
+            y = rng.integers(0, K, n)
+            for feature_scale in (1e-6, 1.0, 1e3):
+                f = feature_scale * rng.normal(size=(n, head.dim))
+                if n > 1:  # antipodal to its row: past the margin clamp
+                    f[0] = -feature_scale * unit[y[0]]
+                for kind in grid_kinds(head):
+                    assert_same_bits(losses.evaluate(kind, head, f, y),
+                                     evaluate_reference(kind, head, f, y))
+
+    def test_plain_ce_bitwise_and_input_untouched(self):
+        rng = np.random.default_rng(13)
+        inputs = [30.0 * rng.normal(size=(9, 47)),
+                  np.asfortranarray(rng.normal(size=(9, 47))),
+                  rng.normal(size=(9, 94))[:, ::2],
+                  rng.normal(size=(9, 47)).astype(np.float32),
+                  rng.integers(-5, 5, size=(9, 47))]
+        for z in inputs:
+            y = rng.integers(0, 47, 9)
+            before = z.copy()
+            assert_same_bits(plain_ce(z, y), plain_ce_reference(z, y))
+            assert np.array_equal(z, before) and z.dtype == before.dtype
+
+
+class TestLogitBuffers:
+    @pytest.mark.parametrize("trainable", [False, True], ids=["fixed", "trainable"])
+    def test_at_most_two_batch_by_k_arrays(self, trainable):
+        # numpy reports its buffers to tracemalloc, so the bound is exact
+        head = cube_head(1000, trainable)
+        rng = np.random.default_rng(14)
+        f = rng.normal(size=(512, head.dim))
+        y = rng.integers(0, 1000, 512)
+        kind = AngularMargin(30.0, head.phi)
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            losses.evaluate(kind, head, f, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.25 * 512 * 1000 * 8
+
+
+class TestGradientProperty:
+    @pytest.mark.parametrize("kind", [PlainCE(), FixedSoftmax(), NormScaled(30.0),
+                                      AngularMargin(30.0, 0.5)],
+                             ids=["plain_ce", "fixed_softmax", "norm_scaled",
+                                  "angular_margin"])
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    @given(head=st.sampled_from([make_simplex(6), make_orthoplex(6), make_cube(8)]),
+           trainable=st.booleans(), n=st.integers(1, 4),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_random_well_conditioned_batches(self, kind, head, trainable, n, seed):
+        rng = np.random.default_rng(seed)
+        if trainable:
+            rows = head.rows + 0.3 * rng.normal(size=head.rows.shape)
+            head = ClassifierWeights(None, head.num_classes, head.dim, rows, head.phi, True)
+        f = random_features(rng, n, head.dim)
+        y = rng.integers(0, head.num_classes, n)
+        assume(well_conditioned(kind, head, f, y))
+        assert grad_check(kind, head, f, y) < 1e-5
+        if trainable:
+            analytic = losses.evaluate(kind, head, f, y).grad_weights
+            num = numeric_grad(lambda r: losses.evaluate(
+                kind, ClassifierWeights(None, head.num_classes, head.dim, r,
+                                        head.phi, True), f, y).value, head.rows)
+            assert np.abs(analytic - num).max() <= 1e-5 * np.abs(analytic).max()
