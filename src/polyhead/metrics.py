@@ -17,7 +17,7 @@ from typing import List, Optional
 import numpy as np
 
 from .losses import unit_rows
-from .polytope import pairwise_angles
+from .polytope import min_pairwise_angle
 
 # Rows of a scatter CSV turned into text per write: the text of a whole
 # 10k-row file would add about 10 MB to the peak memory of a run.
@@ -130,7 +130,7 @@ def geometry_report(head, features: np.ndarray, labels: np.ndarray,
     if len(directions) < 2:
         min_angle, no_pairs = math.pi, True
     else:
-        min_angle, no_pairs = float(pairwise_angles(np.vstack(directions)).min()), False
+        min_angle, no_pairs = min_pairwise_angle(np.vstack(directions)), False
 
     return GeometryReport(per_class, head.phi, min_angle, no_pairs,
                           accuracy(predictions, labels), degenerate)

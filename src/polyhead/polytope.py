@@ -180,6 +180,16 @@ def pairwise_angles(rows: np.ndarray) -> np.ndarray:
     return np.arccos(gram[iu])
 
 
+def min_pairwise_angle(rows: np.ndarray) -> float:
+    """The smallest angle between distinct rows, the same float as
+    ``pairwise_angles(rows).min()``: arccos is monotone, so it is the arccos of
+    the largest cosine.  Only the Gram matrix is K x K; the K(K-1)/2 gathered
+    cosines and angles are never built."""
+    gram = rows @ rows.T
+    largest = np.array([gram[i, i + 1:].max() for i in range(rows.shape[0] - 1)])
+    return float(np.arccos(np.clip(largest.max(keepdims=True), -1.0, 1.0))[0])
+
+
 def verify_geometry(weights: ClassifierWeights, tol: float = DEFAULT_TOL) -> GeometryCheck:
     """Check the class count, phi, unit norms and the nearest-neighbour angle.
 
@@ -202,8 +212,7 @@ def verify_geometry(weights: ClassifierWeights, tol: float = DEFAULT_TOL) -> Geo
         raise StructuralError("non-finite entries in weight rows")
 
     norm_dev = float(np.max(np.abs(np.linalg.norm(rows, axis=1) - 1.0)))
-    angles = pairwise_angles(rows)
-    min_angle = float(angles.min())
+    min_angle = min_pairwise_angle(rows)
     needed = embedding_dim(weights.kind, weights.num_classes)
     if needed > weights.dim:
         return GeometryCheck(False, math.inf, min_angle,
@@ -216,7 +225,7 @@ def verify_geometry(weights: ClassifierWeights, tol: float = DEFAULT_TOL) -> Geo
     if weights.kind is PolytopeKind.ORTHOPLEX and weights.num_classes == 2:
         angle_dev = float(abs(min_angle - math.pi))
     elif weights.kind is PolytopeKind.SIMPLEX:
-        angle_dev = float(np.max(np.abs(angles - phi)))
+        angle_dev = float(np.max(np.abs(pairwise_angles(rows) - phi)))
     else:
         angle_dev = float(abs(min_angle - phi))
 

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -179,6 +180,48 @@ class TestVerifyGeometry:
         bad = polytope.ClassifierWeights(w.kind, 5, w.dim, w.rows, w.phi)
         with pytest.raises(StructuralError):
             verify_geometry(bad)
+
+
+def float_bits(x):
+    return np.float64(x).view(np.uint64)
+
+
+class TestMinPairwiseAngle:
+    def test_matches_min_of_all_angles_bitwise(self):
+        heads = [maker(K) for maker in (make_simplex, make_orthoplex, make_cube)
+                 for K in [*range(2, 70), 128]]
+        heads += [make_orthoplex(1000), make_cube(1000), make_cube(4096)]
+        row_sets = [w.rows for w in heads]
+        rng = np.random.default_rng(3)
+        for K, d in [(2, 1), (2, 3), (5, 2), (47, 6), (300, 10), (1000, 10)]:
+            unit = rng.normal(size=(K, d))
+            unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+            row_sets += [unit, rng.normal(size=(K, d)) * 3.0]  # the latter clips
+            twin = unit.copy()
+            twin[-1] = twin[0]
+            row_sets.append(twin)
+        for rows in row_sets:
+            expected = polytope.pairwise_angles(rows).min()
+            assert float_bits(polytope.min_pairwise_angle(rows)) == float_bits(expected)
+
+    def test_verify_geometry_reports_the_same_min_angle(self):
+        w = make_cube(1000)
+        check = verify_geometry(w)
+        assert check.passed
+        assert float_bits(check.min_angle) == float_bits(
+            polytope.pairwise_angles(w.rows).min())
+
+    def test_cube_1000_check_holds_only_the_gram_matrix(self):
+        # numpy reports its buffers to tracemalloc, so the bound is exact
+        w = make_cube(1000)
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            verify_geometry(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 1000 * 1000 * 8
 
 
 def loop_orthoplex(K, d):
