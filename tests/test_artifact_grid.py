@@ -1,0 +1,23 @@
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_grid_runs_every_config(tmp_path):
+    out = tmp_path / "grid"
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "artifact_grid.py"),
+                           "--src", str(ROOT / "src"), "--out", str(out)],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    commands = re.findall(r"^(train|eval) (\S+): exit (\d+), stdout sha256 [0-9a-f]{64}$",
+                          proc.stdout, re.M)
+    assert len({name for _, name, _ in commands}) == 48
+    assert [(kind, code) for kind, _, code in commands] == [("train", "0"),
+                                                            ("eval", "0")] * 48
+    files = re.findall(r"^[0-9a-f]{64}  (\S+)$", proc.stdout, re.M)
+    assert len(files) == sum(1 for p in out.rglob("*") if p.is_file())
+    assert len(commands) + len(files) == len(proc.stdout.splitlines())
