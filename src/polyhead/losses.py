@@ -5,7 +5,9 @@ batch-mean loss and the analytic gradient with respect to the raw
 feature batch (and, for a trainable head, the raw head rows).  ``g``
 unit-normalizes the features and ``h`` the head rows; a fixed head's rows
 are unit already.  With a margin ``m > 0`` the target logit becomes
-``s * cos(theta_y + m)``.  The four loss kinds set these switches:
+``s * cos(theta_y + m)``.  The four loss kinds set these switches: each
+kind class declares its ``(g, h)`` pair in ``normalizes``, a class attribute
+and not a field, and ``s``, ``m`` are its ``kappa``, ``m`` (else 1 and 0):
 
   kind            g    h    s      m
   PlainCE         no   no   1      0
@@ -50,16 +52,17 @@ class MarginError(ValueError):
 
 @dataclass(frozen=True)
 class PlainCE:
-    pass
+    normalizes = (False, False)
 
 
 @dataclass(frozen=True)
 class FixedSoftmax:
-    pass
+    normalizes = (False, True)
 
 
 @dataclass(frozen=True)
 class NormScaled:
+    normalizes = (True, True)
     kappa: float = KAPPA_DEFAULT
 
     def __post_init__(self):
@@ -69,6 +72,7 @@ class NormScaled:
 
 @dataclass(frozen=True)
 class AngularMargin:
+    normalizes = (True, True)
     kappa: float = KAPPA_DEFAULT
     m: float = 0.0
 
@@ -146,44 +150,6 @@ def plain_ce(z: np.ndarray, labels: np.ndarray) -> LossResult:
     return LossResult(float(per_sample.mean()), z, per_sample)
 
 
-def fixed_softmax_loss(weights, features: np.ndarray,
-                       labels: np.ndarray) -> LossResult:
-    """Cross-entropy over raw-feature inner products with unit head rows."""
-    return evaluate(FixedSoftmax(), weights, features, labels)
-
-
-def norm_scaled_loss(weights, features: np.ndarray, labels: np.ndarray,
-                     kappa: float = KAPPA_DEFAULT) -> LossResult:
-    """Cross-entropy on kappa-scaled cosine logits kappa * cos(theta_j)."""
-    return evaluate(NormScaled(kappa), weights, features, labels)
-
-
-def margin_loss(weights, features: np.ndarray, labels: np.ndarray,
-                kappa: float = KAPPA_DEFAULT, m: float = 0.0) -> LossResult:
-    """Additive angular margin: the target-class logit is kappa*cos(theta_y + m)."""
-    return evaluate(AngularMargin(kappa, m), weights, features, labels)
-
-
-def maximal_margin(weights: ClassifierWeights) -> float:
-    """Largest admissible margin: the head's closed-form vertex angle."""
-    return weights.phi
-
-
-# (normalize features, normalize rows) of each loss kind
-_NORMALIZES = {PlainCE: (False, False), FixedSoftmax: (False, True),
-               NormScaled: (True, True), AngularMargin: (True, True)}
-
-
-def _switches(kind: LossKind) -> tuple:
-    """(normalize features, normalize rows, scale, margin) of a loss kind."""
-    try:
-        normalize_features, normalize_rows = _NORMALIZES[type(kind)]
-    except KeyError:
-        raise TypeError(f"unknown loss kind {kind!r}") from None
-    return (normalize_features, normalize_rows, getattr(kind, "kappa", 1.0),
-            getattr(kind, "m", 0.0))
-
-
 def evaluate(kind: LossKind, weights: ClassifierWeights, features: np.ndarray,
              labels: np.ndarray) -> LossResult:
     """Cross-entropy over ``s * g(f) . h(w_j)`` for a fixed or trainable head.
@@ -193,7 +159,10 @@ def evaluate(kind: LossKind, weights: ClassifierWeights, features: np.ndarray,
     theta_y + m = pi that logit is held at -s with zero slope, and the
     d cos(theta+m)/d cos(theta) factor uses a sin(theta) floor.
     """
-    normalize_features, normalize_rows, scale, m = _switches(kind)
+    if type(kind) not in KINDS.values():
+        raise TypeError(f"unknown loss kind {kind!r}")
+    normalize_features, normalize_rows = kind.normalizes
+    scale, m = getattr(kind, "kappa", 1.0), getattr(kind, "m", 0.0)
     rows, row_norms = (unit_rows(weights) if normalize_rows
                        else (weights.rows, None))
     f = np.asarray(features, dtype=np.float64)

@@ -166,11 +166,15 @@ def adam_step(model: MlpModel, grads: List[np.ndarray], state: AdamState):
     return model, state
 
 
+def classify(head: ClassifierWeights, features: np.ndarray) -> np.ndarray:
+    """Argmax cosine to the head's unit rows; ties go to the lowest index."""
+    unit, _ = losses.unit_rows(head)
+    return np.argmax(features @ unit.T, axis=1)
+
+
 def predict(model: MlpModel, batch: np.ndarray) -> np.ndarray:
-    """Argmax cosine similarity to head rows; ties break to the lowest index."""
-    feats, _ = forward(model, batch)
-    unit, _ = losses.unit_rows(model.head)
-    return np.argmax(feats @ unit.T, axis=1)
+    """The classes ``classify`` gives the features of ``batch``."""
+    return classify(model.head, forward(model, batch)[0])
 
 
 def train(model: MlpModel, data: LabeledBatch, config: TrainConfig):
@@ -192,8 +196,8 @@ def train(model: MlpModel, data: LabeledBatch, config: TrainConfig):
                 if not math.isfinite(res.value):
                     raise DivergenceError(f"loss {res.value} at epoch {epoch} batch {i}")
                 loss_sum += res.value * len(batch)
-                unit, _ = losses.unit_rows(model.head)  # before the step moves them
-                correct += int((np.argmax(feats @ unit.T, axis=1) == batch.labels).sum())
+                # scored before the step moves a trainable head's rows
+                correct += int((classify(model.head, feats) == batch.labels).sum())
                 grads = backward(model, cache, res.grad_features, res.grad_weights)
                 adam_step(model, grads, state)
         log.append(EpochStats(epoch, loss_sum / len(data), correct / len(data)))

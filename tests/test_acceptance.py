@@ -90,8 +90,8 @@ def test_criterion_3_loss_identities():
         f /= np.linalg.norm(f, axis=1, keepdims=True)
         f *= rng.uniform(0.5, 2.0, size=(6, 1))
         y = rng.integers(0, 8, 6)
-        a = losses.margin_loss(w, f, y, kappa=30.0, m=0.0)
-        b = losses.norm_scaled_loss(w, f, y, kappa=30.0)
+        a = losses.evaluate(losses.AngularMargin(30.0, 0.0), w, f, y)
+        b = losses.evaluate(losses.NormScaled(30.0), w, f, y)
         worst = max(worst, abs(a.value - b.value))
     exact = all(
         losses.plain_ce(np.zeros((1, K)), np.zeros(1, dtype=int)).value

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,9 +10,8 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from polyhead import losses
 from polyhead.losses import (AngularMargin, DegenerateFeatureError,
                              DimensionError, FixedSoftmax, LabelError,
-                             MarginError, NormScaled, PlainCE, fixed_softmax_loss,
-                             grad_check, margin_loss, maximal_margin,
-                             norm_scaled_loss, plain_ce)
+                             MarginError, NormScaled, PlainCE, grad_check,
+                             plain_ce)
 from polyhead.polytope import ClassifierWeights, make_cube, make_orthoplex, make_simplex
 
 
@@ -97,14 +98,16 @@ class TestPlainCE:
 class TestFixedSoftmax:
     def test_zero_features(self):
         w = make_simplex(6)
-        res = fixed_softmax_loss(w, np.zeros((2, w.dim)), np.array([0, 4]))
+        res = losses.evaluate(FixedSoftmax(), w, np.zeros((2, w.dim)),
+                              np.array([0, 4]))
         assert res.value == pytest.approx(math.log(6), abs=1e-15)
 
     def test_loss_shrinks_with_feature_norm(self):
         w = make_orthoplex(4)
         vals = []
         for s in (0.5, 1.0, 2.0, 5.0, 20.0):
-            res = fixed_softmax_loss(w, s * w.rows[1][None, :], np.array([1]))
+            res = losses.evaluate(FixedSoftmax(), w, s * w.rows[1][None, :],
+                                  np.array([1]))
             vals.append(res.value)
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
@@ -113,8 +116,8 @@ class TestFixedSoftmax:
         w = make_simplex(5)
         f = rng.normal(size=(3, w.dim))
         y = rng.integers(0, 5, 3)
-        res = fixed_softmax_loss(w, f, y)
-        num = numeric_grad(lambda q: fixed_softmax_loss(w, q, y).value, f)
+        res = losses.evaluate(FixedSoftmax(), w, f, y)
+        num = numeric_grad(lambda q: losses.evaluate(FixedSoftmax(), w, q, y).value, f)
         assert np.abs(res.grad_features - num).max() < 1e-6
 
 
@@ -122,8 +125,8 @@ class TestNormScaled:
     def test_two_class_closed_form(self):
         # f on w_y with the other weight antipodal: logits (kappa, -kappa)
         w = make_orthoplex(2)
-        res = norm_scaled_loss(w, 2.5 * w.rows[0][None, :], np.array([0]),
-                               kappa=30.0)
+        res = losses.evaluate(NormScaled(30.0), w, 2.5 * w.rows[0][None, :],
+                              np.array([0]))
         assert res.per_sample[0] == pytest.approx(math.log1p(math.exp(-60.0)),
                                                   rel=1e-9)
 
@@ -131,7 +134,7 @@ class TestNormScaled:
         rng = np.random.default_rng(5)
         w = make_simplex(7)
         f = random_features(rng, 4, w.dim)
-        res = norm_scaled_loss(w, f, rng.integers(0, 7, 4))
+        res = losses.evaluate(NormScaled(), w, f, rng.integers(0, 7, 4))
         radial = np.abs((res.grad_features * f).sum(axis=1))
         assert radial.max() < 1e-10
 
@@ -140,9 +143,9 @@ class TestNormScaled:
         w = make_cube(8)
         f = random_features(rng, 4, w.dim)
         y = rng.integers(0, 8, 4)
-        res = norm_scaled_loss(w, f, y, kappa=30.0)
+        res = losses.evaluate(NormScaled(30.0), w, f, y)
         num = numeric_grad(
-            lambda q: norm_scaled_loss(w, q, y, kappa=30.0).value, f)
+            lambda q: losses.evaluate(NormScaled(30.0), w, q, y).value, f)
         assert np.abs(res.grad_features - num).max() < 1e-5
 
     def test_scale_invariance(self):
@@ -150,15 +153,15 @@ class TestNormScaled:
         w = make_simplex(5)
         f = random_features(rng, 3, w.dim)
         y = rng.integers(0, 5, 3)
-        a = norm_scaled_loss(w, f, y)
-        b = norm_scaled_loss(w, 7.3 * f, y)
+        a = losses.evaluate(NormScaled(), w, f, y)
+        b = losses.evaluate(NormScaled(), w, 7.3 * f, y)
         assert a.value == pytest.approx(b.value, abs=1e-10)
 
     def test_degenerate_feature(self):
         w = make_simplex(4)
         f = np.zeros((1, w.dim))
         with pytest.raises(DegenerateFeatureError):
-            norm_scaled_loss(w, f, np.array([0]))
+            losses.evaluate(NormScaled(), w, f, np.array([0]))
 
 
 class TestMarginLoss:
@@ -168,15 +171,15 @@ class TestMarginLoss:
         for _ in range(50):
             f = random_features(rng, 5, w.dim)
             y = rng.integers(0, 6, 5)
-            a = margin_loss(w, f, y, kappa=30.0, m=0.0)
-            b = norm_scaled_loss(w, f, y, kappa=30.0)
+            a = losses.evaluate(AngularMargin(30.0, 0.0), w, f, y)
+            b = losses.evaluate(NormScaled(30.0), w, f, y)
             assert abs(a.value - b.value) <= 1e-12
             assert np.abs(a.grad_features - b.grad_features).max() <= 1e-12
 
     def test_two_class_closed_form(self):
         w = make_orthoplex(2)
-        res = margin_loss(w, w.rows[0][None, :], np.array([0]), kappa=30.0,
-                          m=math.pi / 2)
+        res = losses.evaluate(AngularMargin(30.0, math.pi / 2), w,
+                              w.rows[0][None, :], np.array([0]))
         # target logit 30*cos(pi/2)=0, other logit 30*cos(pi)=-30
         assert res.per_sample[0] == pytest.approx(math.log1p(math.exp(-30.0)),
                                                   rel=1e-9)
@@ -187,9 +190,10 @@ class TestMarginLoss:
         y = rng.integers(0, 10, 4)
         # keep theta_y away from 0 and pi-m
         f = w.rows[y] + 0.3 * rng.normal(size=(4, w.dim))
-        res = margin_loss(w, f, y, kappa=30.0, m=w.phi)
+        res = losses.evaluate(AngularMargin(30.0, w.phi), w, f, y)
         num = numeric_grad(
-            lambda q: margin_loss(w, q, y, kappa=30.0, m=w.phi).value, f)
+            lambda q: losses.evaluate(AngularMargin(30.0, w.phi), w, q,
+                                      y).value, f)
         denom = np.maximum(1e-8, np.abs(res.grad_features) + np.abs(num))
         assert (np.abs(res.grad_features - num) / denom).max() < 1e-5
 
@@ -198,8 +202,8 @@ class TestMarginLoss:
         w = make_cube(8)
         f = random_features(rng, 3, w.dim)
         y = rng.integers(0, 8, 3)
-        a = margin_loss(w, f, y, m=0.7)
-        b = margin_loss(w, 0.01 * f, y, m=0.7)
+        a = losses.evaluate(AngularMargin(m=0.7), w, f, y)
+        b = losses.evaluate(AngularMargin(m=0.7), w, 0.01 * f, y)
         assert a.value == pytest.approx(b.value, abs=1e-10)
 
     def test_monotone_in_target_angle(self):
@@ -211,7 +215,8 @@ class TestMarginLoss:
         vals = []
         for theta in np.linspace(1.2, 0.1, 8):  # theta + m stays below pi
             f = (math.cos(theta) * target + math.sin(theta) * other)[None, :]
-            vals.append(margin_loss(w, f, np.array([0]), m=m).value)
+            vals.append(losses.evaluate(AngularMargin(m=m), w, f,
+                                        np.array([0])).value)
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_margin_out_of_range(self):
@@ -219,24 +224,22 @@ class TestMarginLoss:
         f = w.rows[:1]
         for m in (-0.1, math.pi, 4.0):
             with pytest.raises(MarginError):
-                margin_loss(w, f, np.array([0]), m=m)
+                losses.evaluate(AngularMargin(m=m), w, f, np.array([0]))
 
     def test_past_pi_clamp_no_nan(self):
         # feature antipodal to its weight with a large margin
         w = make_orthoplex(2)
         f = -w.rows[0][None, :]
-        res = margin_loss(w, f, np.array([0]), kappa=30.0, m=3.0)
+        res = losses.evaluate(AngularMargin(30.0, 3.0), w, f, np.array([0]))
         assert np.isfinite(res.value)
         assert np.isfinite(res.grad_features).all()
 
 
 class TestMaximalMargin:
     def test_values(self):
-        assert maximal_margin(make_simplex(10)) == pytest.approx(
-            math.acos(-1.0 / 9.0), abs=0)
-        assert maximal_margin(make_orthoplex(10)) == math.pi / 2
-        assert maximal_margin(make_cube(47)) == pytest.approx(
-            math.acos(4.0 / 6.0), abs=0)
+        assert make_simplex(10).phi == pytest.approx(math.acos(-1.0 / 9.0), abs=0)
+        assert make_orthoplex(10).phi == math.pi / 2
+        assert make_cube(47).phi == pytest.approx(math.acos(4.0 / 6.0), abs=0)
 
 
 class TestGradCheck:
@@ -278,15 +281,31 @@ class TestGradCheck:
 
 
 class TestSwitches:
-    def test_table(self):
-        assert losses._switches(PlainCE()) == (False, False, 1.0, 0.0)
-        assert losses._switches(FixedSoftmax()) == (False, True, 1.0, 0.0)
-        assert losses._switches(NormScaled(7.0)) == (True, True, 7.0, 0.0)
-        assert losses._switches(AngularMargin(7.0, 0.3)) == (True, True, 7.0, 0.3)
+    def test_kinds_declare_the_docstring_table(self):
+        # kind, g, h, s, m: the table of the losses module docstring
+        table = re.findall(r"^  (\w+) +(yes|no) +(yes|no) +(1|kappa) +(0|m)$",
+                           losses.__doc__, re.M)
+        assert [row[0] for row in table] == [c.__name__ for c in losses.KINDS.values()]
+        for name, g, h, s, m in table:
+            kind = getattr(losses, name)()
+            assert kind.normalizes == (g == "yes", h == "yes")
+            assert getattr(kind, "kappa", 1.0) == (losses.KAPPA_DEFAULT if s == "kappa"
+                                                   else 1.0)
+            assert getattr(kind, "m", 0.0) == 0.0
+
+    def test_fields_are_the_config_keys(self):
+        # a switch that gained an annotation would become a config key
+        assert [tuple(f.name for f in dataclasses.fields(c))
+                for c in (PlainCE, FixedSoftmax, NormScaled, AngularMargin)] == [
+            (), (), ("kappa",), ("kappa", "m")]
 
     def test_unknown_kind_is_type_error(self):
-        with pytest.raises(TypeError):
-            losses.evaluate(object(), make_simplex(3), np.ones((1, 2)), np.array([0]))
+        class Lookalike:
+            normalizes = (False, False)
+
+        for kind in (object(), Lookalike()):
+            with pytest.raises(TypeError):
+                losses.evaluate(kind, make_simplex(3), np.ones((1, 2)), np.array([0]))
 
 
 # The kernel as it ran before evaluate worked inside its own logits buffer,

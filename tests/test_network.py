@@ -197,7 +197,7 @@ class TestBackward:
 
         def grads_for(x, y):
             feats, cache = forward(model, x)
-            res = losses.fixed_softmax_loss(w, feats, y)
+            res = losses.evaluate(losses.FixedSoftmax(), w, feats, y)
             return backward(model, cache, res.grad_features)
 
         g1, gN = grads_for(x1, y1), grads_for(xN, yN)
@@ -245,7 +245,7 @@ class TestAdam:
         x = rng.normal(size=(4, 3))
         y = rng.integers(0, 3, 4)
         feats, cache = forward(model, x)
-        res = losses.fixed_softmax_loss(w, feats, y)
+        res = losses.evaluate(losses.FixedSoftmax(), w, feats, y)
         grads = backward(model, cache, res.grad_features)
         before = model.head.rows.copy()
         adam_step(model, grads, AdamState(lr=0.1))
