@@ -6,7 +6,8 @@ dump artifacts), ``eval`` (score a checkpoint on a dataset).
 
 Exit codes: 0 success, 1 verification failure, 2 usage or config error
 (including a malformed JSON file or one with missing keys, a training run
-that diverges, and a checkpoint that gives non-finite features), 3 I/O error.
+that diverges, and a trained or loaded model that gives non-finite features
+on its dataset), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -144,6 +145,17 @@ def _tolerance(text: str) -> float:
     return tol
 
 
+def _score(model: network.MlpModel, dataset: datamod.LabeledBatch) -> tuple:
+    """The model's features of the whole dataset and their geometry report.
+    A model whose features are not finite is a ConfigError."""
+    with np.errstate(over="ignore", invalid="ignore"):  # checked right after
+        feats, _ = network.forward(model, dataset.inputs)
+    if not np.isfinite(feats).all():
+        raise ConfigError("the model gives non-finite features on this dataset")
+    preds = network.predict(model, dataset.inputs)
+    return feats, metrics.geometry_report(model.head, feats, dataset.labels, preds)
+
+
 def cmd_gen_weights(args) -> int:
     with _reading():
         weights = make_weights(PolytopeKind(args.kind), args.classes)
@@ -191,6 +203,7 @@ def cmd_train(args) -> int:
         model = network.init_model(dataset.inputs.shape[1], hidden, weights,
                                    cfg["seed"], classifier["trainable"])
     model, log = network.train(model, dataset, train_cfg)
+    feats, report = _score(model, dataset)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     resolved = dict(config)
@@ -204,10 +217,6 @@ def cmd_train(args) -> int:
             fh.write(f"{row.epoch},{row.mean_loss!r},{row.train_accuracy!r}\n")
 
     network.save_checkpoint(model, out_dir / "checkpoint.json", extra=resolved)
-
-    feats, _ = network.forward(model, dataset.inputs)
-    preds = network.predict(model, dataset.inputs)
-    report = metrics.geometry_report(model.head, feats, dataset.labels, preds)
     report.save(out_dir / "geometry.json")
     metrics.export_scatter(feats, dataset.labels, False, out_dir / "features.csv")
     metrics.export_scatter(feats, dataset.labels, True,
@@ -243,13 +252,7 @@ def cmd_eval(args) -> int:
         if dataset.labels.max() >= model.head.num_classes:
             raise ConfigError(f"dataset label {dataset.labels.max()} needs more than "
                               f"the checkpoint's {model.head.num_classes} classes")
-
-    with np.errstate(over="ignore", invalid="ignore"):  # checked right after
-        feats, _ = network.forward(model, dataset.inputs)
-    if not np.isfinite(feats).all():
-        raise ConfigError("the checkpoint gives non-finite features on this dataset")
-    preds = network.predict(model, dataset.inputs)
-    report = metrics.geometry_report(model.head, feats, dataset.labels, preds)
+    _, report = _score(model, dataset)
     print(f"accuracy={report.accuracy:.4f}")
     print(f"min_pairwise_mean_angle={report.min_pairwise_mean_angle:.6f}")
     if args.out:

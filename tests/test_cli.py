@@ -256,6 +256,20 @@ class TestTrain:
         assert capsys.readouterr().err == "error: loss nan at epoch 0 batch 1\n"
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_trained_features_exit_2(self, tmp_path, capsys):
+        # one finite step to huge weights: the loss and the parameters stay
+        # finite, the features of the whole set do not
+        path, _ = blob_config(tmp_path, epochs=1, batch_size=512, lr=1e300,
+                              loss={"kind": "plain_ce"},
+                              dataset={"type": "blobs", "classes": 3, "dim": 3,
+                                       "per_class": 10, "spread": 1.0,
+                                       "separation": 6.0, "seed": 6})
+        assert run(["train", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: the model gives non-finite features on this dataset\n")
+        assert not (tmp_path / "run").exists()
+
     def test_training_errors_propagate(self, tmp_path, monkeypatch):
         # only reading the config maps to an exit code; a fault in the
         # computation keeps its traceback
