@@ -194,6 +194,8 @@ def cmd_train(args) -> int:
         for key in ("epochs", "batch_size"):
             if cfg[key] < 1:
                 raise ConfigError(f"{key} must be at least 1, got {cfg[key]}")
+        if not (math.isfinite(cfg["lr"]) and cfg["lr"] >= 0):
+            raise ConfigError(f"lr must be finite and at least 0, got {cfg['lr']}")
         if dataset.labels.max() >= weights.num_classes:
             raise ConfigError(f"dataset label {dataset.labels.max()} needs more than "
                               f"the classifier's {weights.num_classes} classes")

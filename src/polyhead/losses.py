@@ -50,6 +50,11 @@ class MarginError(ValueError):
     """Margin outside [0, pi)."""
 
 
+def _check_kappa(kappa: float) -> None:
+    if not (math.isfinite(kappa) and kappa > 0):
+        raise ValueError(f"kappa must be finite and positive, got {kappa}")
+
+
 @dataclass(frozen=True)
 class PlainCE:
     normalizes = (False, False)
@@ -66,8 +71,7 @@ class NormScaled:
     kappa: float = KAPPA_DEFAULT
 
     def __post_init__(self):
-        if self.kappa <= 0:
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
+        _check_kappa(self.kappa)
 
 
 @dataclass(frozen=True)
@@ -77,8 +81,7 @@ class AngularMargin:
     m: float = 0.0
 
     def __post_init__(self):
-        if self.kappa <= 0:
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
+        _check_kappa(self.kappa)
         if not (0.0 <= self.m < math.pi):
             raise MarginError(f"margin must lie in [0, pi), got {self.m}")
 

@@ -231,6 +231,10 @@ class TestTrain:
         {"dataset": {"type": "blobs", "classes": 4, "dim": 10 ** 12,
                      "per_class": 100, "spread": 1.0, "separation": 6.0,
                      "seed": 6}},
+        {"loss": {"kind": "angular_margin", "kappa": math.nan}},
+        {"loss": {"kind": "norm_scaled", "kappa": math.inf}},
+        {"lr": -0.01},
+        {"lr": math.nan},
     ], ids=["epochs_zero", "epochs_bool", "seed_str", "batch_size_float",
             "hidden_widths_str", "hidden_width_bool", "classes_str",
             "trainable_str", "lr_str", "kappa_bool", "blobs_seed_bool",
@@ -240,13 +244,28 @@ class TestTrain:
             "loss_list", "limit_null", "limit_zero", "emnist_int",
             "blobs_unknown_key", "batch_size_default_as_float", "trainable_int",
             "out_dir_int", "classes_missing", "classifier_str",
-            "classifier_too_large", "blobs_too_large", "blobs_dim_too_large"])
+            "classifier_too_large", "blobs_too_large", "blobs_dim_too_large",
+            "kappa_nan", "kappa_inf", "lr_negative", "lr_nan"])
     def test_config_types_and_ranges(self, tmp_path, monkeypatch, overrides):
         monkeypatch.chdir(tmp_path)  # a valid IDX pair for the idx cases
         data.write_idx(data.LabeledBatch(np.eye(4), np.arange(4)), "images",
                        "labels", 2, 2)
         path, _ = blob_config(tmp_path, **overrides)
         assert run(["train", "--config", str(path)]) == 2
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("overrides,key", [
+        ({"loss": {"kind": "angular_margin", "kappa": math.nan}}, "kappa"),
+        ({"loss": {"kind": "norm_scaled", "kappa": math.inf}}, "kappa"),
+        ({"lr": -0.01}, "lr"),
+        ({"lr": math.nan}, "lr"),
+    ], ids=["kappa_nan", "kappa_inf", "lr_negative", "lr_nan"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_out_of_range_value_named(self, tmp_path, capsys, overrides, key):
+        path, _ = blob_config(tmp_path, **overrides)
+        assert run(["train", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be finite") and err.count("\n") == 1
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -293,6 +293,12 @@ class TestSwitches:
                                                    else 1.0)
             assert getattr(kind, "m", 0.0) == 0.0
 
+    @pytest.mark.parametrize("kappa", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_kappa_must_be_finite_and_positive(self, kappa):
+        for kind in (NormScaled, AngularMargin):
+            with pytest.raises(ValueError, match="kappa"):
+                kind(kappa)
+
     def test_fields_are_the_config_keys(self):
         # a switch that gained an annotation would become a config key
         assert [tuple(f.name for f in dataclasses.fields(c))
