@@ -7,6 +7,7 @@ means on simplex directions, and deterministic per-epoch mini-batching.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import Iterator
@@ -111,7 +112,8 @@ def make_blobs(num_classes: int, dim: int, per_class: int, spread: float,
     """Gaussian clusters with means at separation * simplex directions.
 
     Simplex directions are padded with zeros (or truncated) to ``dim``.
-    Values are unbounded reals, unlike the [0,1] pixel datasets.
+    ``spread`` is a finite standard deviation >= 0 and ``separation`` any
+    finite number.  Values are unbounded reals, unlike the [0,1] pixel datasets.
     """
     if num_classes < 2:
         raise ValueError(f"need at least 2 classes, got {num_classes}")
@@ -119,6 +121,10 @@ def make_blobs(num_classes: int, dim: int, per_class: int, spread: float,
         raise ValueError(f"dim must be positive, got {dim}")
     if per_class < 1:
         raise EmptyDatasetError("per_class must be at least 1")
+    if not (math.isfinite(spread) and spread >= 0):
+        raise ValueError(f"spread must be finite and at least 0, got {spread}")
+    if not math.isfinite(separation):
+        raise ValueError(f"separation must be finite, got {separation}")
     if num_classes * per_class * dim > MAX_BLOB_ENTRIES:
         raise ValueError(f"{num_classes} classes x {per_class} per class x {dim} dims "
                          f"exceed MAX_BLOB_ENTRIES ({MAX_BLOB_ENTRIES}) entries")

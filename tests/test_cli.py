@@ -235,6 +235,9 @@ class TestTrain:
         {"loss": {"kind": "norm_scaled", "kappa": math.inf}},
         {"lr": -0.01},
         {"lr": math.nan},
+        {"dataset": {"type": "blobs", "classes": 4, "dim": 3,
+                     "per_class": 100, "spread": math.nan, "separation": 6.0,
+                     "seed": 6}},
     ], ids=["epochs_zero", "epochs_bool", "seed_str", "batch_size_float",
             "hidden_widths_str", "hidden_width_bool", "classes_str",
             "trainable_str", "lr_str", "kappa_bool", "blobs_seed_bool",
@@ -245,7 +248,7 @@ class TestTrain:
             "blobs_unknown_key", "batch_size_default_as_float", "trainable_int",
             "out_dir_int", "classes_missing", "classifier_str",
             "classifier_too_large", "blobs_too_large", "blobs_dim_too_large",
-            "kappa_nan", "kappa_inf", "lr_negative", "lr_nan"])
+            "kappa_nan", "kappa_inf", "lr_negative", "lr_nan", "blobs_spread_nan"])
     def test_config_types_and_ranges(self, tmp_path, monkeypatch, overrides):
         monkeypatch.chdir(tmp_path)  # a valid IDX pair for the idx cases
         data.write_idx(data.LabeledBatch(np.eye(4), np.arange(4)), "images",
@@ -259,7 +262,9 @@ class TestTrain:
         ({"loss": {"kind": "norm_scaled", "kappa": math.inf}}, "kappa"),
         ({"lr": -0.01}, "lr"),
         ({"lr": math.nan}, "lr"),
-    ], ids=["kappa_nan", "kappa_inf", "lr_negative", "lr_nan"])
+        ({"dataset": {"type": "blobs", "classes": 4, "dim": 3, "per_class": 100,
+                      "spread": math.nan, "separation": 6.0, "seed": 6}}, "spread"),
+    ], ids=["kappa_nan", "kappa_inf", "lr_negative", "lr_nan", "blobs_spread_nan"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_out_of_range_value_named(self, tmp_path, capsys, overrides, key):
         path, _ = blob_config(tmp_path, **overrides)
@@ -390,6 +395,22 @@ class TestEval:
         assert run(["eval", "--checkpoint", str(path), "--blobs-classes", "2",
                     *blobs]) == 2
         assert "MAX_BLOB_ENTRIES" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("blobs,name", [
+        (["--blobs-spread", "nan"], "spread"), (["--blobs-spread", "-1"], "spread"),
+        (["--blobs-separation", "inf"], "separation")],
+        ids=["spread_nan", "spread_negative", "separation_inf"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_bad_blobs_value_named(self, tmp_path, capsys, blobs, name):
+        model = network.init_model(3, [5, 2], make_orthoplex(4), seed=0)
+        path = tmp_path / "ckpt.json"
+        network.save_checkpoint(model, path)
+        assert run(["eval", "--checkpoint", str(path), "--blobs-classes", "2",
+                    "--blobs-dim", "3", *blobs,
+                    "--out", str(tmp_path / "report.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name} must be finite") and err.count("\n") == 1
+        assert not (tmp_path / "report.json").exists()
 
     def test_labels_beyond_the_head(self, tmp_path, capsys):
         model = network.init_model(3, [5, 2], make_orthoplex(4), seed=0)

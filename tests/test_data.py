@@ -1,3 +1,4 @@
+import math
 import struct
 
 import numpy as np
@@ -101,6 +102,19 @@ class TestMakeBlobs:
         monkeypatch.setattr(data, "make_simplex", no_arrays)
         with pytest.raises(ValueError, match="MAX_BLOB_ENTRIES"):
             make_blobs(classes, dim, per_class, 1.0, 6.0, seed=0)
+
+    @pytest.mark.parametrize("spread,separation,name", [
+        (math.nan, 6.0, "spread"), (math.inf, 6.0, "spread"), (-1.0, 6.0, "spread"),
+        (1.0, math.nan, "separation"), (1.0, math.inf, "separation"),
+        (1.0, -math.inf, "separation")])
+    def test_bad_spread_or_separation_named(self, spread, separation, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            make_blobs(3, 2, 5, spread, separation, seed=0)
+
+    def test_zero_spread_puts_samples_on_their_means(self):
+        from polyhead.polytope import make_simplex
+        batch = make_blobs(3, 2, 4, 0.0, -5.0, seed=0)
+        assert np.array_equal(batch.inputs, -5.0 * make_simplex(3).rows[batch.labels])
 
     def test_deterministic(self):
         a = make_blobs(4, 3, 10, 0.5, 4.0, seed=9)
