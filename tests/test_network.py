@@ -7,8 +7,8 @@ import pytest
 from polyhead import losses, network
 from polyhead.data import make_blobs
 from polyhead.network import (AdamState, CacheError, TrainConfig, adam_step,
-                              backward, forward, init_model, parameters, predict,
-                              train)
+                              backward, classify, forward, init_model, parameters,
+                              predict, train)
 from polyhead.polytope import ClassifierWeights, make_cube, make_orthoplex, make_simplex
 
 
@@ -259,8 +259,9 @@ class TestPredict:
         model = init_model(4, [4], w, seed=22)
         model.layers[0].w = np.eye(4)
         model.layers[0].slope = np.ones(4)  # identity backbone
-        preds = predict(model, w.rows[3][None, :])
-        assert preds[0] == 3
+        x = w.rows[3][None, :]
+        assert predict(model, x)[0] == 3
+        assert classify(w, forward(model, x)[0])[0] == 3
 
     def test_tie_break_lowest_index(self):
         w = make_orthoplex(4)
@@ -270,12 +271,15 @@ class TestPredict:
         # feature equidistant between w_0=+e1 and w_2=+e2
         x = np.array([[1.0, 1.0]])
         assert predict(model, x)[0] == 0
+        assert classify(w, forward(model, x)[0])[0] == 0
 
     def test_zero_trainable_row_is_an_error(self):
         model = init_model(2, [2], make_simplex(3), seed=26, trainable=True)
         model.head.rows[1] = 0.0  # has no direction to compare against
         with pytest.raises(losses.DegenerateFeatureError):
             predict(model, np.ones((1, 2)))
+        with pytest.raises(losses.DegenerateFeatureError):
+            classify(model.head, np.ones((1, 2)))
 
     def test_matches_brute_force_cosine(self):
         rng = np.random.default_rng(24)
@@ -284,6 +288,7 @@ class TestPredict:
         x = rng.normal(size=(8, 5))
         preds = predict(model, x)
         feats, _ = forward(model, x)
+        assert np.array_equal(classify(w, feats), preds)
         for n in range(8):
             best, best_cos = 0, -2.0
             fn = feats[n] / max(np.linalg.norm(feats[n]), 1e-300)
