@@ -47,9 +47,11 @@ IDX = {"type": "idx", "images": "train-images", "labels": "train-labels"}
 EVAL_IDX = ["--images", "test-images", "--labels", "test-labels"]
 
 
-def write_idx_pairs(data, np) -> None:
+def write_idx_pairs() -> None:
     """A train and a test pair of 8x8 images: a random template per class
     with pixel noise on top."""
+    import numpy as np
+    from polyhead import data
     rng = np.random.default_rng(7)
     templates = rng.random((CLASSES, 64))
     for stem, n in (("train", 60), ("test", 40)):
@@ -74,13 +76,13 @@ def configs():
         yield name, config, EVAL_BLOBS if dataset == "blobs" else EVAL_IDX
 
 
-def run_command(cli, kind: str, name: str, argv: list) -> int:
+def run_command(kind: str, name: str, argv: list) -> None:
+    from polyhead import cli
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         code = cli.main(argv)
     digest = hashlib.sha256(stdout.getvalue().encode()).hexdigest()
     print(f"{kind} {name}: exit {code}, stdout sha256 {digest}")
-    return code
 
 
 def main(argv=None) -> int:
@@ -101,9 +103,7 @@ def main(argv=None) -> int:
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
     sys.path.insert(0, str(src))
-    import numpy as np
     import polyhead
-    from polyhead import cli, data
     if Path(polyhead.__file__).resolve().parent != src / "polyhead":
         print(f"error: polyhead imported from {polyhead.__file__}, not {src}",
               file=sys.stderr)
@@ -111,14 +111,13 @@ def main(argv=None) -> int:
 
     out.mkdir(parents=True, exist_ok=True)
     os.chdir(out)
-    write_idx_pairs(data, np)
+    write_idx_pairs()
     for name, config, eval_data in configs():
         Path(f"{name}.json").write_text(json.dumps(config, indent=2))
-        run_command(cli, "train", name, ["train", "--config", f"{name}.json",
-                                         "--out-dir", name])
-        run_command(cli, "eval", name, ["eval", "--checkpoint",
-                                        f"{name}/checkpoint.json", *eval_data,
-                                        "--out", f"{name}/eval.json"])
+        run_command("train", name, ["train", "--config", f"{name}.json",
+                                    "--out-dir", name])
+        run_command("eval", name, ["eval", "--checkpoint", f"{name}/checkpoint.json",
+                                   *eval_data, "--out", f"{name}/eval.json"])
     for path in sorted(p for p in Path().rglob("*") if p.is_file()):
         print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.as_posix()}")
     return 0
