@@ -6,8 +6,8 @@ dump artifacts), ``eval`` (score a checkpoint on a dataset).
 
 Exit codes: 0 success, 1 verification failure, 2 usage or config error
 (including a malformed JSON file or one with missing keys, a training run
-that diverges, and a trained or loaded model that gives non-finite features
-on its dataset), 3 I/O error.
+that diverges or gives a zero feature to a normalizing loss, and a trained or
+loaded model that gives non-finite features on its dataset), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -309,7 +309,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except OSError as exc:
         code, message = EXIT_IO, str(exc)
-    except (ConfigError, network.DivergenceError) as exc:
+    except (ConfigError, network.DivergenceError, losses.DegenerateFeatureError) as exc:
         code, message = EXIT_USAGE, str(exc)
     print(f"error: {message}", file=sys.stderr)
     return code

@@ -25,7 +25,8 @@ MAX_BLOB_ENTRIES = 1 << 26
 
 
 class IdxFormatError(ValueError):
-    """Bad magic, truncated payload, or image/label count mismatch."""
+    """Bad magic, a header count or size out of range, truncated payload, or
+    image/label count mismatch."""
 
 
 class EmptyDatasetError(ValueError):
@@ -67,22 +68,30 @@ def load_idx(images_path, labels_path, emnist: bool = False) -> LabeledBatch:
     """Parse an IDX image/label file pair into a flat [0,1] batch.
 
     EMNIST ships its images transposed relative to MNIST; pass
-    ``emnist=True`` to undo that.
+    ``emnist=True`` to undo that.  A negative count, or fewer than one row
+    or column per image, is an IdxFormatError; a count of 0 gives an
+    EmptyDatasetError.
     """
     with open(images_path, "rb") as fh:
         raw = fh.read()
     (count, rows, cols), payload = _read_header(raw, images_path, IMAGE_MAGIC, 3)
+    for field, value, least in (("image count", count, 0), ("rows", rows, 1),
+                                ("columns", cols, 1)):
+        if value < least:
+            raise IdxFormatError(f"{images_path}: header {field} {value} is below {least}")
     if len(payload) < count * rows * cols:
         raise IdxFormatError(f"{images_path}: truncated pixel payload")
     pixels = np.frombuffer(payload[:count * rows * cols], dtype=np.uint8)
     images = pixels.reshape(count, rows, cols)
     if emnist:
         images = images.transpose(0, 2, 1)
-    inputs = images.reshape(count, rows * cols).astype(np.float64) / 255.0
+    inputs = images.reshape(count, rows * cols) / 255.0
 
     with open(labels_path, "rb") as fh:
         raw = fh.read()
     (label_count,), payload = _read_header(raw, labels_path, LABEL_MAGIC, 1)
+    if label_count < 0:
+        raise IdxFormatError(f"{labels_path}: header label count {label_count} is below 0")
     if len(payload) < label_count:
         raise IdxFormatError(f"{labels_path}: truncated label payload")
     if label_count != count:
@@ -113,7 +122,9 @@ def make_blobs(num_classes: int, dim: int, per_class: int, spread: float,
 
     Simplex directions are padded with zeros (or truncated) to ``dim``.
     ``spread`` is a finite standard deviation >= 0 and ``separation`` any
-    finite number.  Values are unbounded reals, unlike the [0,1] pixel datasets.
+    finite number, and together they must give finite inputs (a spread of
+    1e308 overflows).  Values are unbounded reals, unlike the [0,1] pixel
+    datasets.
     """
     if num_classes < 2:
         raise ValueError(f"need at least 2 classes, got {num_classes}")
@@ -133,14 +144,16 @@ def make_blobs(num_classes: int, dim: int, per_class: int, spread: float,
     width = min(dim, directions.shape[1])
     means[:, :width] = separation * directions[:, :width]
 
+    # one draw in the order a per-class loop would take it: class by class
     rng = np.random.default_rng(seed)
-    inputs = np.empty((num_classes * per_class, dim))
-    labels = np.empty(num_classes * per_class, dtype=np.int64)
-    for c in range(num_classes):
-        sl = slice(c * per_class, (c + 1) * per_class)
-        inputs[sl] = means[c] + rng.normal(0.0, spread, size=(per_class, dim))
-        labels[sl] = c
-    return LabeledBatch(inputs, labels)
+    inputs = rng.normal(0.0, spread, size=(num_classes, per_class, dim))
+    with np.errstate(over="ignore"):  # checked right after
+        inputs += means[:, None, :]
+    if not np.isfinite(inputs).all():
+        raise ValueError(f"spread {spread!r} and separation {separation!r} give "
+                         f"non-finite inputs")
+    labels = np.repeat(np.arange(num_classes), per_class)
+    return LabeledBatch(inputs.reshape(num_classes * per_class, dim), labels)
 
 
 def batches(data: LabeledBatch, batch_size: int, seed: int,

@@ -97,33 +97,32 @@ def geometry_report(head, features: np.ndarray, labels: np.ndarray,
         raise ValueError(f"labels of shape {labels.shape} for {len(norms)} feature rows")
     degenerate = int((norms == 0).sum())
 
-    # A stable sort by label keeps each class's rows in their original order,
-    # so a class's figures have the bits that a per-class mask gives; labels
-    # outside [0, K) fall outside every class's bounds.
-    keep = norms > 0
-    features, norms, kept_labels = features[keep], norms[keep], labels[keep]
-    order = np.argsort(kept_labels, kind="stable")
-    sorted_labels = kept_labels[order]
-    classes = np.arange(head.num_classes)
-    starts = np.searchsorted(sorted_labels, classes, side="left")
-    ends = np.searchsorted(sorted_labels, classes, side="right")
+    # The rows with a direction and a label in [0, K), stably sorted by label:
+    # each class's rows are one slice in their original order, and its cosines
+    # one product on that slice, so its figures have the bits that a
+    # per-class mask gives.
+    keep = (norms > 0) & (labels >= 0) & (labels < head.num_classes)
+    order = np.flatnonzero(keep)[np.argsort(labels[keep], kind="stable")]
+    unit = features[order] / norms[order, None]
+    bounds = np.searchsorted(labels[order], np.arange(head.num_classes + 1)).tolist()
+    slices = [slice(start, end) for start, end in zip(bounds[:-1], bounds[1:])]
+    cos = np.empty(len(order))
+    for c, samples in enumerate(slices):
+        np.matmul(unit[samples], rows[c], out=cos[samples])
+    angles = np.arccos(np.clip(cos, -1.0, 1.0, out=cos), out=cos)
 
     per_class = []
     directions = []
-    for c, start, end in zip(range(head.num_classes), starts.tolist(), ends.tolist()):
-        if start == end:
+    for c, samples in enumerate(slices):
+        if samples.start == samples.stop:
             per_class.append(ClassStats(c, False, 0, math.nan, math.nan, None))
             continue
-        idx = order[start:end]
-        unit = features[idx] / norms[idx, None]
-        cos = np.clip(unit @ rows[c], -1.0, 1.0)
-        angles = np.arccos(cos)
-        mean_dir = unit.mean(axis=0)
+        mean_dir = unit[samples].mean(axis=0)
         mean_norm = np.linalg.norm(mean_dir)
         mean_dir = mean_dir / mean_norm if mean_norm > 0 else None
-        per_class.append(ClassStats(c, True, end - start,
-                                    float(angles.mean()), float(angles.std()),
-                                    mean_dir))
+        per_class.append(ClassStats(c, True, samples.stop - samples.start,
+                                    float(angles[samples].mean()),
+                                    float(angles[samples].std()), mean_dir))
         if mean_dir is not None:
             directions.append(mean_dir)
 

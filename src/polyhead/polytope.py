@@ -175,19 +175,27 @@ def make_weights(kind: PolytopeKind, num_classes: int) -> ClassifierWeights:
 
 def pairwise_angles(rows: np.ndarray) -> np.ndarray:
     """Angles between all distinct row pairs, as a flat array."""
+    rows = np.ascontiguousarray(rows)
     gram = np.clip(rows @ rows.T, -1.0, 1.0)
     iu = np.triu_indices(rows.shape[0], k=1)
     return np.arccos(gram[iu])
 
 
 def min_pairwise_angle(rows: np.ndarray) -> float:
-    """The smallest angle between distinct rows, the same float as
-    ``pairwise_angles(rows).min()``: arccos is monotone, so it is the arccos of
-    the largest cosine.  Only the Gram matrix is K x K; the K(K-1)/2 gathered
-    cosines and angles are never built."""
+    """The smallest angle between distinct rows (at least two), the same float
+    as ``pairwise_angles(rows).min()``: arccos is monotone, so it is the arccos
+    of the largest off-diagonal cosine.
+
+    numpy computes ``A @ A.T`` of a C-contiguous ``A`` as one symmetric BLAS
+    product (syrk) and mirrors its triangle, so the Gram matrix is symmetric
+    bit for bit and one max over it, with the diagonal masked, is the max of
+    its upper triangle.  The product of a non-contiguous view need not be
+    symmetric, hence the contiguous copy.  Only the K x K Gram matrix is
+    built; the K(K-1)/2 gathered cosines and angles never are."""
+    rows = np.ascontiguousarray(rows)
     gram = rows @ rows.T
-    largest = np.array([gram[i, i + 1:].max() for i in range(rows.shape[0] - 1)])
-    return float(np.arccos(np.clip(largest.max(keepdims=True), -1.0, 1.0))[0])
+    np.fill_diagonal(gram, -np.inf)
+    return np.arccos(np.clip(gram.max(keepdims=True), -1.0, 1.0)).item()
 
 
 def verify_geometry(weights: ClassifierWeights, tol: float = DEFAULT_TOL) -> GeometryCheck:

@@ -15,9 +15,9 @@ def test_grid_runs_every_config(tmp_path):
     assert proc.stderr == ""
     commands = re.findall(r"^(train|eval) (\S+): exit (\d+), stdout sha256 [0-9a-f]{64}$",
                           proc.stdout, re.M)
-    assert len({name for _, name, _ in commands}) == 48
+    assert len({name for _, name, _ in commands}) == 50
     assert [(kind, code) for kind, _, code in commands] == [("train", "0"),
-                                                            ("eval", "0")] * 48
+                                                            ("eval", "0")] * 50
     files = re.findall(r"^[0-9a-f]{64}  (\S+)$", proc.stdout, re.M)
     assert len(files) == sum(1 for p in out.rglob("*") if p.is_file())
     assert len(commands) + len(files) == len(proc.stdout.splitlines())

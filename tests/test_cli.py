@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -294,6 +295,45 @@ class TestTrain:
             "error: the model gives non-finite features on this dataset\n")
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("header,field", [
+        ((2, 0, 2), "rows 0 is below 1"), ((2, 2, 0), "columns 0 is below 1"),
+        ((-2, -2, 2), "image count -2 is below 0")],
+        ids=["rows_zero", "cols_zero", "count_negative"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_malformed_idx_header_exits_2(self, tmp_path, capsys, header, field):
+        images, labels = tmp_path / "images", tmp_path / "labels"
+        images.write_bytes(struct.pack(">4i", data.IMAGE_MAGIC, *header) + bytes(8))
+        labels.write_bytes(struct.pack(">2i", data.LABEL_MAGIC, 2) + bytes(2))
+        path, _ = blob_config(tmp_path, dataset={"type": "idx", "images": str(images),
+                                                 "labels": str(labels)})
+        assert run(["train", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {images}: header {field}\n"
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_zero_features_exit_2(self, tmp_path, capsys):
+        # blank images through zero biases give zero features, which the
+        # margin loss cannot normalize
+        data.write_idx(data.LabeledBatch(np.zeros((4, 4)), np.arange(4)),
+                       tmp_path / "images", tmp_path / "labels", 2, 2)
+        path, _ = blob_config(tmp_path, dataset={
+            "type": "idx", "images": str(tmp_path / "images"),
+            "labels": str(tmp_path / "labels")})
+        assert run(["train", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: feature norm at or below 1e-12; cannot normalize\n")
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_blobs_exit_2(self, tmp_path, capsys):
+        path, _ = blob_config(tmp_path, dataset={
+            "type": "blobs", "classes": 4, "dim": 3, "per_class": 100,
+            "spread": 1e308, "separation": 6.0, "seed": 6})
+        assert run(["train", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: spread 1e+308 and separation 6.0 give non-finite inputs\n")
+        assert not (tmp_path / "run").exists()
+
     def test_training_errors_propagate(self, tmp_path, monkeypatch):
         # only reading the config maps to an exit code; a fault in the
         # computation keeps its traceback
@@ -412,6 +452,18 @@ class TestEval:
         assert err.startswith(f"error: {name} must be finite") and err.count("\n") == 1
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_blobs_exit_2(self, tmp_path, capsys):
+        model = network.init_model(3, [5, 2], make_orthoplex(4), seed=0)
+        path = tmp_path / "ckpt.json"
+        network.save_checkpoint(model, path)
+        assert run(["eval", "--checkpoint", str(path), "--blobs-classes", "2",
+                    "--blobs-dim", "3", "--blobs-spread", "1e308",
+                    "--out", str(tmp_path / "report.json")]) == 2
+        assert capsys.readouterr().err == (
+            "error: spread 1e+308 and separation 6.0 give non-finite inputs\n")
+        assert not (tmp_path / "report.json").exists()
+
     def test_labels_beyond_the_head(self, tmp_path, capsys):
         model = network.init_model(3, [5, 2], make_orthoplex(4), seed=0)
         path = tmp_path / "ckpt.json"
@@ -520,3 +572,49 @@ class TestEvalFuzz:
         assert run(["eval", "--checkpoint", str(path), "--blobs-classes", "2",
                     "--blobs-dim", "3", "--blobs-per-class", "5",
                     "--out", str(tmp_path / "report.json")]) in (0, 2)
+
+
+# IDX header fields at their edges (negative, zero, the int32 limits) or small
+# and valid, so that some draws get past the header to the run
+HEADER_FIELDS = st.one_of(st.sampled_from([-2 ** 31, -2, -1, 0, 2 ** 31 - 1]),
+                          st.integers(1, 3))
+PAYLOAD_SIZES = ["truncated", "exact", "long"]
+
+
+def idx_bytes(magic, fields, size):
+    """An IDX file: ``magic`` and header ``fields``, then a payload shorter
+    than, as long as or longer than the header asks for, at most 4 KB.  Every
+    byte is 0, 1 or 2, a pixel and a label of a 4-class head."""
+    wanted = math.prod(fields) if min(fields) >= 0 else 0
+    length = min(4096, max(0, wanted + {"truncated": -1, "exact": 0, "long": 5}[size]))
+    return (struct.pack(f">{1 + len(fields)}i", magic, *fields)
+            + bytes(i % 3 for i in range(length)))
+
+
+class TestIdxHeaderFuzz:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(images=st.tuples(HEADER_FIELDS, HEADER_FIELDS, HEADER_FIELDS),
+           labels=st.one_of(st.none(), HEADER_FIELDS),  # None: the image count
+           image_size=st.sampled_from(PAYLOAD_SIZES),
+           label_size=st.sampled_from(PAYLOAD_SIZES))
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_train_and_eval_exit_0_or_2(self, tmp_path, capsys, images, labels,
+                                        image_size, label_size):
+        (tmp_path / "images").write_bytes(idx_bytes(data.IMAGE_MAGIC, images, image_size))
+        label_count = images[0] if labels is None else labels
+        (tmp_path / "labels").write_bytes(idx_bytes(data.LABEL_MAGIC, (label_count,),
+                                                    label_size))
+        checkpoint = tmp_path / "ckpt.json"
+        network.save_checkpoint(network.init_model(4, [3, 2], make_orthoplex(4), seed=0),
+                                checkpoint)
+        config, _ = blob_config(tmp_path, epochs=1, hidden_widths=[3],
+                                classifier={"kind": "orthoplex", "classes": 4},
+                                dataset={"type": "idx", "images": str(tmp_path / "images"),
+                                         "labels": str(tmp_path / "labels")})
+        for argv in (["train", "--config", str(config)],
+                     ["eval", "--checkpoint", str(checkpoint), "--images",
+                      str(tmp_path / "images"), "--labels", str(tmp_path / "labels")]):
+            assert run(argv) in (0, 2)
+            err = capsys.readouterr().err
+            assert err == "" or (err.startswith("error: ") and err.count("\n") == 1)

@@ -60,6 +60,38 @@ class TestLoadIdx:
         with pytest.raises(IdxFormatError, match="count"):
             load_idx(img, lab)
 
+    @pytest.mark.parametrize("count,rows,cols,field", [
+        (-2, 2, 2, "image count -2"), (-2, -2, 2, "image count -2"),
+        (2, 0, 2, "rows 0"), (2, 2, 0, "columns 0"), (2, -1, 3, "rows -1"),
+        (2, 3, -2 ** 31, "columns -2147483648")])
+    def test_malformed_header_named(self, tmp_path, count, rows, cols, field):
+        img, lab = tmp_path / "images.idx", tmp_path / "labels.idx"
+        img.write_bytes(struct.pack(">4i", 0x00000803, count, rows, cols) + bytes(64))
+        lab.write_bytes(struct.pack(">2i", 0x00000801, 2) + bytes(2))
+        with pytest.raises(IdxFormatError, match=f"images.idx: header {field} is below"):
+            load_idx(img, lab)
+
+    def test_negative_label_count_named(self, tmp_path):
+        images = np.zeros((2, 3, 3), dtype=np.uint8)
+        img, lab = write_pair(tmp_path, images, np.zeros(2, dtype=np.uint8))
+        lab.write_bytes(struct.pack(">2i", 0x00000801, -2) + bytes(2))
+        with pytest.raises(IdxFormatError, match="labels.idx: header label count -2"):
+            load_idx(img, lab)
+
+    def test_zero_count_is_empty(self, tmp_path):
+        img, lab = write_pair(tmp_path, np.zeros((0, 3, 3), dtype=np.uint8),
+                              np.zeros(0, dtype=np.uint8))
+        with pytest.raises(EmptyDatasetError):
+            load_idx(img, lab)
+
+    @pytest.mark.parametrize("emnist", [False, True])
+    def test_decode_matches_astype_bitwise(self, idx_pair, emnist):
+        (img, lab), images, _ = idx_pair
+        if emnist:
+            images = images.transpose(0, 2, 1)
+        expected = images.reshape(12, 20).astype(np.float64) / 255.0
+        assert load_idx(img, lab, emnist=emnist).inputs.tobytes() == expected.tobytes()
+
     def test_emnist_transpose(self, tmp_path):
         images = np.arange(6, dtype=np.uint8).reshape(1, 2, 3)
         labels = np.zeros(1, dtype=np.uint8)
@@ -79,7 +111,41 @@ class TestLoadIdx:
         assert np.array_equal(again.labels, batch.labels)
 
 
+def loop_blobs(num_classes, dim, per_class, spread, separation, seed):
+    """The per-class loop make_blobs used to run, one draw per class."""
+    from polyhead.polytope import make_simplex
+    directions = make_simplex(num_classes).rows
+    means = np.zeros((num_classes, dim))
+    width = min(dim, directions.shape[1])
+    means[:, :width] = separation * directions[:, :width]
+    rng = np.random.default_rng(seed)
+    inputs = np.empty((num_classes * per_class, dim))
+    labels = np.empty(num_classes * per_class, dtype=np.int64)
+    for c in range(num_classes):
+        sl = slice(c * per_class, (c + 1) * per_class)
+        inputs[sl] = means[c] + rng.normal(0.0, spread, size=(per_class, dim))
+        labels[sl] = c
+    return inputs, labels
+
+
 class TestMakeBlobs:
+    @pytest.mark.parametrize("args", [(2, 1, 1, 1.0, 6.0, 0), (3, 5, 7, 0.5, -4.0, 9),
+                                      (10, 40, 3, 2.0, 1e300, 1), (47, 6, 11, 0.0, 3.0, 2),
+                                      (1000, 32, 10, 1.0, 6.0, 7)])
+    def test_matches_loop_reference_bitwise(self, args):
+        batch = make_blobs(*args)
+        inputs, labels = loop_blobs(*args)
+        assert batch.inputs.tobytes() == inputs.tobytes()
+        assert batch.labels.dtype == labels.dtype
+        assert np.array_equal(batch.labels, labels)
+
+    @pytest.mark.parametrize("spread,separation", [(1e308, 6.0), (1e308, 0.0),
+                                                   (1e308, -1e308)])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_inputs_named(self, spread, separation):
+        with pytest.raises(ValueError, match="^spread .* and separation .* give non-finite"):
+            make_blobs(3, 4, 50, spread, separation, seed=0)
+
     def test_two_class_nearest_mean_oracle(self):
         batch = make_blobs(2, 2, 200, spread=1.0, separation=6.0, seed=1)
         # closed-form classifier: nearest class mean

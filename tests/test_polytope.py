@@ -200,7 +200,19 @@ class TestMinPairwiseAngle:
             twin = unit.copy()
             twin[-1] = twin[0]
             row_sets.append(twin)
+        # strided views, whose own Gram matrices need not be symmetric; with a
+        # near-twin pair, the largest cosine turns on its last bits
+        row_sets.append(rng.normal(size=(300, 20))[:, ::2])
+        twin_rng = np.random.default_rng(1)
+        near = twin_rng.normal(size=(24, 64)) / 8.0
+        near[7] = near[9] + 1e-9 * twin_rng.normal(size=64)
+        row_sets.append(near[:, ::2])
         for rows in row_sets:
+            # one max over the whole Gram matrix stands for the max of its upper
+            # triangle only if the matrix is symmetric bit for bit
+            contiguous = np.ascontiguousarray(rows)
+            g = contiguous @ contiguous.T
+            assert np.array_equal(g, g.T)
             expected = polytope.pairwise_angles(rows).min()
             assert float_bits(polytope.min_pairwise_angle(rows)) == float_bits(expected)
 

@@ -1,11 +1,14 @@
-"""Digest of every artifact of a 48-config ``train`` + ``eval --out`` grid.
+"""Digest of every artifact of a 50-config ``train`` + ``eval --out`` grid.
 
 Runs ``polyhead.cli.main`` in-process on each config of the grid: six loss
 settings (plain_ce with the default batch_size and lr, fixed_softmax,
 norm_scaled with an integer kappa, angular_margin at m = 0 given as an
 integer, 0.4 and "max") x fixed and trainable heads x blobs and 8x8 IDX
-data x simplex and cube heads on 5 classes.  Each config is trained and
-then evaluated with ``eval --out`` on a second data set of the same kind.
+data x simplex and cube heads on 5 classes, then a fixed and a trainable
+cube head on 1000 classes of 12-d blobs (3 per class) with angular_margin
+at m "max", whose eval set holds only the first 600 classes.  Each config is
+trained and then evaluated with ``eval --out`` on a second data set of the
+same kind.
 
 It prints one line per command, with its exit code and the sha256 of its
 standard output, then one ``sha256  path`` line per file under ``--out``.
@@ -43,6 +46,12 @@ BLOBS = {"type": "blobs", "classes": CLASSES, "dim": 6, "per_class": 12,
 EVAL_BLOBS = ["--blobs-classes", str(CLASSES), "--blobs-dim", "6",
               "--blobs-per-class", "10", "--blobs-spread", "1.0",
               "--blobs-separation", "4.0", "--blobs-seed", "4"]
+MANY_CLASSES = 1000
+MANY_BLOBS = {"type": "blobs", "classes": MANY_CLASSES, "dim": 12, "per_class": 3,
+              "spread": 1.0, "separation": 4.0, "seed": 3}
+EVAL_MANY_BLOBS = ["--blobs-classes", "600", "--blobs-dim", "12",
+                   "--blobs-per-class", "2", "--blobs-spread", "1.0",
+                   "--blobs-separation", "4.0", "--blobs-seed", "4"]
 IDX = {"type": "idx", "images": "train-images", "labels": "train-labels"}
 EVAL_IDX = ["--images", "test-images", "--labels", "test-labels"]
 
@@ -74,6 +83,14 @@ def configs():
         if loss != "plain_ce":
             config.update(batch_size=16, lr=0.01)
         yield name, config, EVAL_BLOBS if dataset == "blobs" else EVAL_IDX
+    for trainable in (False, True):
+        name = f"cube{MANY_CLASSES}-{'trainable' if trainable else 'fixed'}-blobs-margin_max"
+        config = {"seed": 11, "epochs": 3, "hidden_widths": [16],
+                  "loss": LOSSES["margin_max"], "batch_size": 256, "lr": 0.01,
+                  "classifier": {"kind": "cube", "classes": MANY_CLASSES,
+                                 "trainable": trainable},
+                  "dataset": MANY_BLOBS}
+        yield name, config, EVAL_MANY_BLOBS
 
 
 def run_command(kind: str, name: str, argv: list) -> None:
