@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polyhead import cli, metrics, network
 from polyhead.polytope import (ClassifierWeights, PolytopeKind, make_cube, make_simplex,
@@ -163,6 +164,53 @@ class TestGeometryReportMatchesMaskLoop:
             metrics.geometry_report(head, head.rows, np.arange(3), np.arange(3))
 
 
+# Per-class sample counts: absent and single-sample classes, small groups, and
+# counts around numpy's pairwise-summation block of 128
+COUNTS = st.one_of(st.integers(0, 3), st.integers(4, 20), st.sampled_from([127, 128, 129]))
+
+
+@st.composite
+def grouped_inputs(draw):
+    """A fixed polytope head or a trainable one of any shape, and features
+    whose classes hold drawn sample counts, with zero rows and labels outside
+    [0, K) mixed in, in a drawn order and label dtype."""
+    if draw(st.booleans()):
+        head = make_weights(draw(st.sampled_from(list(PolytopeKind))),
+                            draw(st.integers(2, 40)))
+    else:
+        classes, dim = draw(st.integers(1, 40)), draw(st.integers(1, 12))
+        head = ClassifierWeights(None, classes, dim, np.zeros((classes, dim)),
+                                 math.nan, True)
+    counts = draw(st.lists(COUNTS, min_size=head.num_classes,
+                           max_size=head.num_classes))
+    zeros = draw(st.integers(0, 3))
+    outside = draw(st.lists(st.sampled_from([-5, -1, head.num_classes,
+                                             head.num_classes + 3]), max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if head.trainable:
+        head.rows[:] = rng.normal(size=head.rows.shape)
+    labels = np.concatenate([np.repeat(np.arange(head.num_classes), counts),
+                             rng.integers(0, head.num_classes, zeros),
+                             np.array(outside, dtype=np.int64)])
+    features = head.rows[np.clip(labels, 0, head.num_classes - 1)] \
+        + draw(st.sampled_from([0.1, 1.0, 10.0])) * rng.normal(size=(len(labels), head.dim))
+    features[len(labels) - len(outside) - zeros:len(labels) - len(outside)] = 0.0
+    order = rng.permutation(len(labels))
+    dtype = draw(st.sampled_from([np.int64, np.int32, np.int16]))
+    return head, features[order], labels[order].astype(dtype)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # accuracy of no rows
+class TestGeometryReportGroupingProperty:
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(inputs=grouped_inputs())
+    def test_matches_mask_loop_bitwise(self, inputs):
+        head, features, labels = inputs
+        predictions = np.roll(labels, 1)
+        assert report_bits(metrics.geometry_report(head, features, labels, predictions)) \
+            == report_bits(mask_loop_reference(head, features, labels, predictions))
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestExportScatterMatchesCsvWriter:
     @pytest.mark.parametrize("head", HEADS, ids=HEAD_IDS)
@@ -186,6 +234,11 @@ class TestExportScatterMatchesCsvWriter:
         features = rng.normal(size=(rows, 3))
         extra = {"all": 0, "short": -700, "long": 9}[label_count]
         labels = rng.integers(0, 5, rows + extra)
+        if extra:  # zip would truncate to the shorter side, so it is refused
+            with pytest.raises(ValueError, match="labels"):
+                metrics.export_scatter(features, labels, False, tmp_path / "new.csv")
+            assert not (tmp_path / "new.csv").exists()
+            return
         metrics.export_scatter(features, labels, False, tmp_path / "new.csv")
         csv_writer_reference(features, labels, False, tmp_path / "old.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
@@ -230,6 +283,29 @@ class TestJsonMatchesJsonDump:
     def test_geometry_report(self, tmp_path, head):
         features, labels = edge_case_features(head, 6)
         report = metrics.geometry_report(head, features, labels, labels)
+        report.save(tmp_path / "new.json")
+        json_dump_reference(report.to_dict(), tmp_path / "old.json",
+                            indent=2, allow_nan=False)
+        assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
+
+    @pytest.mark.parametrize("present", ["all", "two"])
+    def test_geometry_report_many_classes(self, tmp_path, present):
+        """A K=1000 trainable baseline (phi null).  With "two", one class's
+        features cancel (mean direction None), so no pair is left (no_pairs)."""
+        head = make_cube(1000)
+        rng = np.random.default_rng(45)
+        head = ClassifierWeights(None, 1000, head.dim, rng.normal(size=head.rows.shape),
+                                 math.nan, True)
+        if present == "all":
+            labels = np.repeat(np.arange(1000), 3)
+            features = head.rows[labels] + rng.normal(size=(3000, head.dim))
+        else:
+            labels = np.array([4, 4, 900, 900, 900])
+            direction = rng.normal(size=head.dim)
+            features = np.vstack([direction, -direction, rng.normal(size=(3, head.dim))])
+        report = metrics.geometry_report(head, features, labels, np.roll(labels, 1))
+        assert report.no_pairs == (present == "two")
+        assert (report.per_class[4].mean_direction is None) == (present == "two")
         report.save(tmp_path / "new.json")
         json_dump_reference(report.to_dict(), tmp_path / "old.json",
                             indent=2, allow_nan=False)
