@@ -233,12 +233,9 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     if args.images and not args.labels:
-        print("error: --images needs --labels", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError("--images needs --labels")
     if not (args.images or args.blobs_classes):
-        print("error: provide --images/--labels or --blobs-* options",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError("provide --images/--labels or --blobs-* options")
     with _reading():
         model = network.load_checkpoint(args.checkpoint)
         if args.images:

@@ -145,14 +145,6 @@ def _cross_entropy(z: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return per_sample
 
 
-def plain_ce(z: np.ndarray, labels: np.ndarray) -> LossResult:
-    """Mean cross-entropy; gradient is with respect to the logits."""
-    z = np.array(z, dtype=np.float64)
-    labels = _check_labels(labels, z.shape[1])
-    per_sample = _cross_entropy(z, labels)
-    return LossResult(float(per_sample.mean()), z, per_sample)
-
-
 def evaluate(kind: LossKind, weights: ClassifierWeights, features: np.ndarray,
              labels: np.ndarray) -> LossResult:
     """Cross-entropy over ``s * g(f) . h(w_j)`` for a fixed or trainable head.

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import losses
 from .data import LabeledBatch, batches
-from .polytope import (ClassifierWeights, StructuralError, from_dict as weights_from_dict,
-                       to_dict as weights_to_dict)
+from .polytope import (ClassifierWeights, StructuralError, check_rows,
+                       from_dict as weights_from_dict, to_dict as weights_to_dict)
 
 PRELU_SLOPE_INIT = 0.25
 ADAM_BETA1 = 0.9
@@ -250,7 +250,7 @@ def model_from_dict(payload: dict) -> MlpModel:
     if head_payload["type"] == "fixed":
         head = weights_from_dict(head_payload["weights"])
     else:
-        rows = _finite_array(head_payload["rows"], 2, "head rows")
+        rows = check_rows(head_payload["rows"])
         head = ClassifierWeights(None, *rows.shape, rows, math.nan, True)
         losses.unit_rows(head)  # a zero row has no direction to score against
     if head.dim != width:

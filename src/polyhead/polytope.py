@@ -173,29 +173,38 @@ def make_weights(kind: PolytopeKind, num_classes: int) -> ClassifierWeights:
     return _MAKERS[kind](num_classes)
 
 
-def pairwise_angles(rows: np.ndarray) -> np.ndarray:
-    """Angles between all distinct row pairs, as a flat array."""
+def check_rows(values, shape: Optional[tuple] = None) -> np.ndarray:
+    """``values`` as float64 head rows.  Raises StructuralError unless they
+    are a finite 2-D array with at least 2 rows, of ``shape`` when given."""
+    rows = np.asarray(values, dtype=np.float64)
+    if not (rows.ndim == 2 and rows.shape[0] >= 2 and rows.shape == (shape or rows.shape)
+            and np.all(np.isfinite(rows))):
+        raise StructuralError(f"head rows must be finite, at least 2 and of shape "
+                              f"{shape or '(K, d)'}; got shape {rows.shape}")
+    return rows
+
+
+def _extreme_angles(rows: np.ndarray, largest: bool = False) -> np.ndarray:
+    """The smallest angle between distinct rows (at least two), after the
+    largest when ``largest``: the arccos of the extreme off-diagonal cosines
+    of the K x K Gram matrix, the only K x K array built.  numpy computes
+    ``A @ A.T`` of a C-contiguous ``A`` as one symmetric BLAS product (syrk), so
+    the matrix is symmetric bit for bit and its reductions with the diagonal
+    masked are those of its upper triangle; a strided view's need not be."""
     rows = np.ascontiguousarray(rows)
-    gram = np.clip(rows @ rows.T, -1.0, 1.0)
-    iu = np.triu_indices(rows.shape[0], k=1)
-    return np.arccos(gram[iu])
+    gram = rows @ rows.T
+    cosines = []
+    if largest:
+        np.fill_diagonal(gram, np.inf)
+        cosines.append(gram.min())
+    np.fill_diagonal(gram, -np.inf)
+    cosines.append(gram.max())
+    return np.arccos(np.clip(cosines, -1.0, 1.0))
 
 
 def min_pairwise_angle(rows: np.ndarray) -> float:
-    """The smallest angle between distinct rows (at least two), the same float
-    as ``pairwise_angles(rows).min()``: arccos is monotone, so it is the arccos
-    of the largest off-diagonal cosine.
-
-    numpy computes ``A @ A.T`` of a C-contiguous ``A`` as one symmetric BLAS
-    product (syrk) and mirrors its triangle, so the Gram matrix is symmetric
-    bit for bit and one max over it, with the diagonal masked, is the max of
-    its upper triangle.  The product of a non-contiguous view need not be
-    symmetric, hence the contiguous copy.  Only the K x K Gram matrix is
-    built; the K(K-1)/2 gathered cosines and angles never are."""
-    rows = np.ascontiguousarray(rows)
-    gram = rows @ rows.T
-    np.fill_diagonal(gram, -np.inf)
-    return np.arccos(np.clip(gram.max(keepdims=True), -1.0, 1.0)).item()
+    """The smallest angle between distinct rows (at least two)."""
+    return _extreme_angles(rows)[-1].item()
 
 
 def verify_geometry(weights: ClassifierWeights, tol: float = DEFAULT_TOL) -> GeometryCheck:
@@ -204,23 +213,17 @@ def verify_geometry(weights: ClassifierWeights, tol: float = DEFAULT_TOL) -> Geo
     K must fit the family's vertex count in d dimensions, and the stored
     phi must equal the closed form ``expected_angle(kind, d)`` within tol.
     The minimum pairwise angle must equal phi within tol; for the simplex
-    every pairwise angle must equal phi.  A 2-class orthoplex has only the
-    antipodal pair, whose angle is pi rather than phi = pi/2; that single
-    configuration is accepted as-is.
+    every pairwise angle must, and as fl(a - phi) is monotone in a, the
+    smallest and largest angles give the worst deviation.  A 2-class
+    orthoplex has only the antipodal pair, whose angle is pi rather than
+    phi = pi/2; that single configuration is accepted as-is.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
-    rows = np.asarray(weights.rows, dtype=np.float64)
-    if rows.ndim != 2 or rows.shape != (weights.num_classes, weights.dim):
-        raise StructuralError(f"rows shape {rows.shape} does not match "
-                              f"(K={weights.num_classes}, d={weights.dim})")
-    if weights.num_classes < 2:
-        raise StructuralError("fewer than 2 rows")
-    if not np.all(np.isfinite(rows)):
-        raise StructuralError("non-finite entries in weight rows")
-
+    rows = check_rows(weights.rows, (weights.num_classes, weights.dim))
     norm_dev = float(np.max(np.abs(np.linalg.norm(rows, axis=1) - 1.0)))
-    min_angle = min_pairwise_angle(rows)
+    angles = _extreme_angles(rows, largest=weights.kind is PolytopeKind.SIMPLEX)
+    min_angle = angles[-1].item()
     needed = embedding_dim(weights.kind, weights.num_classes)
     if needed > weights.dim:
         return GeometryCheck(False, math.inf, min_angle,
@@ -233,7 +236,7 @@ def verify_geometry(weights: ClassifierWeights, tol: float = DEFAULT_TOL) -> Geo
     if weights.kind is PolytopeKind.ORTHOPLEX and weights.num_classes == 2:
         angle_dev = float(abs(min_angle - math.pi))
     elif weights.kind is PolytopeKind.SIMPLEX:
-        angle_dev = float(np.max(np.abs(pairwise_angles(rows) - phi)))
+        angle_dev = float(np.max(np.abs(angles - phi)))
     else:
         angle_dev = float(abs(min_angle - phi))
 
@@ -261,16 +264,9 @@ def to_dict(weights: ClassifierWeights) -> dict:
 
 
 def from_dict(payload: dict) -> ClassifierWeights:
-    """The head a JSON payload describes.  Raises StructuralError unless its
-    rows are finite, at least 2 and of the shape its header gives."""
+    """The head a JSON payload describes, its rows checked against the header."""
     kind = PolytopeKind(payload["kind"])
-    rows = np.asarray(payload["rows"], dtype=np.float64)
-    if rows.ndim != 2 or rows.shape != (payload["K"], payload["d"]):
-        raise StructuralError(f"rows shape {rows.shape} inconsistent with header")
-    if rows.shape[0] < 2:
-        raise StructuralError("fewer than 2 rows")
-    if not np.all(np.isfinite(rows)):
-        raise StructuralError("non-finite entries in weight rows")
+    rows = check_rows(payload["rows"], (payload["K"], payload["d"]))
     rows.setflags(write=False)
     return ClassifierWeights(
         kind=kind,

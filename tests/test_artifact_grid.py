@@ -13,11 +13,16 @@ def test_grid_runs_every_config(tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
-    commands = re.findall(r"^(train|eval) (\S+): exit (\d+), stdout sha256 [0-9a-f]{64}$",
-                          proc.stdout, re.M)
-    assert len({name for _, name, _ in commands}) == 50
-    assert [(kind, code) for kind, _, code in commands] == [("train", "0"),
-                                                            ("eval", "0")] * 50
+    commands = re.findall(r"^(gen-weights|check|train|eval) (\S+): exit (\d+), "
+                          r"stdout sha256 [0-9a-f]{64}$", proc.stdout, re.M)
+    heads, runs = commands[:25], commands[25:]
+    assert len({name for _, name, _ in heads}) == 13
+    assert [(kind, code) for kind, _, code in heads] == [("gen-weights", "0"),
+                                                         ("check", "0")] * 12 + [("check", "1")]
+    assert heads[-1][1] == "simplex-10-nudged"
+    assert len({name for _, name, _ in runs}) == 50
+    assert [(kind, code) for kind, _, code in runs] == [("train", "0"),
+                                                        ("eval", "0")] * 50
     files = re.findall(r"^[0-9a-f]{64}  (\S+)$", proc.stdout, re.M)
     assert len(files) == sum(1 for p in out.rglob("*") if p.is_file())
     assert len(commands) + len(files) == len(proc.stdout.splitlines())

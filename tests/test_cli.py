@@ -491,41 +491,65 @@ class TestEval:
         assert run(["eval", "--checkpoint", str(path),
                     "--blobs-classes", "2"]) == 2
 
-    @pytest.mark.parametrize("edit", [
-        lambda p: p["head"].update(type="trainable", rows=[[1.0, 0.0, 0.0]] * 4),
-        lambda p: p["head"].update(type="trainable", rows=[1.0, 0.0]),
-        lambda p: p["head"].update(weights=to_dict(make_simplex(5))),
-        lambda p: p["layers"][0].update(b=p["layers"][0]["b"][:-1]),
-        lambda p: p["layers"][0].update(w=[r + [0.0] for r in p["layers"][0]["w"]]),
-        lambda p: p["layers"][1]["w"][0].__setitem__(0, math.nan),
-        lambda p: p["head"].update(type="trainable", rows=[[1.0, 0.0], [0.0, 0.0]]),
-        lambda p: p.update(input_dim=math.inf),
-        lambda p: p["layers"][0]["w"][0].__setitem__(0, 1e308),
-    ], ids=["trainable_rows_too_wide", "trainable_rows_1d", "fixed_head_other_d",
-            "b_shorter_than_w", "w_wider_than_input_dim", "nan_weight",
-            "zero_trainable_row", "infinite_input_dim", "overflowing_weight"])
+    # each edit with the eval data it is scored on; a one-row head cannot
+    # score the 2-class blobs, so it gets data whose labels are all 0
+    @pytest.mark.parametrize("edit,zero_labels", [
+        pytest.param(lambda p: p["head"].update(type="trainable",
+                                                rows=[[1.0, 0.0, 0.0]] * 4),
+                     False, id="trainable_rows_too_wide"),
+        pytest.param(lambda p: p["head"].update(type="trainable", rows=[1.0, 0.0]),
+                     False, id="trainable_rows_1d"),
+        pytest.param(lambda p: p["head"].update(weights=to_dict(make_simplex(5))),
+                     False, id="fixed_head_other_d"),
+        pytest.param(lambda p: p["layers"][0].update(b=p["layers"][0]["b"][:-1]),
+                     False, id="b_shorter_than_w"),
+        pytest.param(lambda p: p["layers"][0].update(
+                         w=[r + [0.0] for r in p["layers"][0]["w"]]),
+                     False, id="w_wider_than_input_dim"),
+        pytest.param(lambda p: p["layers"][1]["w"][0].__setitem__(0, math.nan),
+                     False, id="nan_weight"),
+        pytest.param(lambda p: p["head"].update(type="trainable",
+                                                rows=[[1.0, 0.0], [0.0, 0.0]]),
+                     False, id="zero_trainable_row"),
+        pytest.param(lambda p: p.update(input_dim=math.inf),
+                     False, id="infinite_input_dim"),
+        pytest.param(lambda p: p["layers"][0]["w"][0].__setitem__(0, 1e308),
+                     False, id="overflowing_weight"),
+        pytest.param(lambda p: p["head"].update(type="trainable", rows=[[1.0, 0.0]]),
+                     True, id="one_trainable_row"),
+    ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_inconsistent_checkpoint(self, tmp_path, edit):
+    def test_inconsistent_checkpoint(self, tmp_path, edit, zero_labels):
         model = network.init_model(3, [5, 2], make_orthoplex(4), seed=0)
         payload = network.model_to_dict(model)
         edit(payload)
         path = tmp_path / "ckpt.json"
         path.write_text(json.dumps(payload))
-        assert run(["eval", "--checkpoint", str(path), "--blobs-classes", "2",
-                    "--blobs-dim", "3"]) == 2
+        eval_data = ["--blobs-classes", "2", "--blobs-dim", "3"]
+        if zero_labels:
+            images, labels = tmp_path / "images", tmp_path / "labels"
+            data.write_idx(data.LabeledBatch(np.full((4, 3), 0.5), np.zeros(4, dtype=int)),
+                           images, labels, 1, 3)
+            eval_data = ["--images", str(images), "--labels", str(labels)]
+        assert run(["eval", "--checkpoint", str(path), *eval_data]) == 2
 
-    def test_images_without_labels(self, tmp_path):
+    def test_images_without_labels(self, tmp_path, capsys):
         path, _ = blob_config(tmp_path, epochs=1)
         assert run(["train", "--config", str(path)]) == 0
+        capsys.readouterr()
         assert run(["eval", "--checkpoint",
                     str(tmp_path / "run" / "checkpoint.json"),
                     "--images", str(tmp_path / "images")]) == 2
+        assert capsys.readouterr() == ("", "error: --images needs --labels\n")
 
-    def test_no_dataset_args(self, tmp_path):
+    def test_no_dataset_args(self, tmp_path, capsys):
         path, _ = blob_config(tmp_path, epochs=1)
         run(["train", "--config", str(path)])
+        capsys.readouterr()
         assert run(["eval", "--checkpoint",
                     str(tmp_path / "run" / "checkpoint.json")]) == 2
+        assert capsys.readouterr() == (
+            "", "error: provide --images/--labels or --blobs-* options\n")
 
 
 JUNK = st.one_of(st.text(max_size=3), st.booleans(), st.none(), st.floats(),

@@ -10,8 +10,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from polyhead import losses
 from polyhead.losses import (AngularMargin, DegenerateFeatureError,
                              DimensionError, FixedSoftmax, LabelError,
-                             MarginError, NormScaled, PlainCE, grad_check,
-                             plain_ce)
+                             MarginError, NormScaled, PlainCE, grad_check)
 from polyhead.polytope import ClassifierWeights, make_cube, make_orthoplex, make_simplex
 
 
@@ -50,6 +49,12 @@ def well_conditioned(kind, w, f, y, margin=0.0):
     return res.per_sample.min() > 1e-3 and np.abs(res.grad_features).min() > 1e-4
 
 
+def eye_head(K):
+    """A fixed head with identity rows: PlainCE over it scores the features
+    themselves as logits."""
+    return ClassifierWeights(None, K, K, np.eye(K), math.nan)
+
+
 class TestLogits:
     def test_dimension_error(self):
         with pytest.raises(DimensionError):
@@ -60,20 +65,23 @@ class TestLogits:
 class TestPlainCE:
     @pytest.mark.parametrize("K", [2, 10, 47])
     def test_zero_logits_log_k(self, K):
-        res = plain_ce(np.zeros((3, K)), np.zeros(3, dtype=int))
+        res = losses.evaluate(PlainCE(), eye_head(K), np.zeros((3, K)),
+                              np.zeros(3, dtype=int))
         assert res.value == pytest.approx(math.log(K), abs=1e-15)
 
     def test_equal_logits_two_class(self):
         for kappa in (0.1, 1.0, 30.0):
-            res = plain_ce(np.array([[kappa, kappa]]), np.array([0]))
+            res = losses.evaluate(PlainCE(), eye_head(2), np.array([[kappa, kappa]]),
+                                  np.array([0]))
             assert res.value == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_gradient_finite_difference(self):
         rng = np.random.default_rng(1)
         z = rng.normal(size=(4, 5))
         y = rng.integers(0, 5, 4)
-        res = plain_ce(z, y)
-        num = numeric_grad(lambda q: plain_ce(q, y).value, z)
+        head = eye_head(5)
+        res = losses.evaluate(PlainCE(), head, z, y)
+        num = numeric_grad(lambda q: losses.evaluate(PlainCE(), head, q, y).value, z)
         assert np.abs(res.grad_features - num).max() < 1e-6
 
     def test_shift_invariance(self):
@@ -81,16 +89,18 @@ class TestPlainCE:
         z = rng.normal(size=(3, 6))
         y = rng.integers(0, 6, 3)
         shifted = z + rng.normal(size=(3, 1))
-        assert plain_ce(z, y).value == pytest.approx(
-            plain_ce(shifted, y).value, abs=1e-12)
+        head = eye_head(6)
+        assert losses.evaluate(PlainCE(), head, z, y).value == pytest.approx(
+            losses.evaluate(PlainCE(), head, shifted, y).value, abs=1e-12)
 
     def test_label_out_of_range(self):
         with pytest.raises(LabelError):
-            plain_ce(np.zeros((2, 3)), np.array([0, 3]))
+            losses.evaluate(PlainCE(), eye_head(3), np.zeros((2, 3)), np.array([0, 3]))
 
     def test_value_is_mean_of_per_sample(self):
         rng = np.random.default_rng(3)
-        res = plain_ce(rng.normal(size=(7, 4)), rng.integers(0, 4, 7))
+        res = losses.evaluate(PlainCE(), eye_head(4), rng.normal(size=(7, 4)),
+                              rng.integers(0, 4, 7))
         assert res.value == pytest.approx(res.per_sample.mean(), abs=1e-12)
         assert (res.per_sample >= 0).all()
 
@@ -444,7 +454,10 @@ class TestKernelMatchesReference:
         for z in inputs:
             y = rng.integers(0, 47, 9)
             before = z.copy()
-            assert_same_bits(plain_ce(z, y), plain_ce_reference(z, y))
+            # the logits z @ I are C-ordered, so the reference gets z in C order:
+            # its row reductions over a Fortran-ordered z round differently
+            assert_same_bits(losses.evaluate(PlainCE(), eye_head(47), z, y),
+                             plain_ce_reference(np.ascontiguousarray(z), y))
             assert np.array_equal(z, before) and z.dtype == before.dtype
 
 

@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from polyhead import losses, network
+from polyhead import losses, network, polytope
 from polyhead.data import make_blobs
 from polyhead.network import (AdamState, CacheError, TrainConfig, adam_step,
                               backward, classify, forward, init_model, parameters,
@@ -389,6 +390,10 @@ class TestTrain:
             train(model, blobs, cfg)
 
 
+def same_header(a, b):
+    return (a.kind, a.num_classes, a.dim, a.phi) == (b.kind, b.num_classes, b.dim, b.phi)
+
+
 class TestCheckpoint:
     def test_round_trip_predictions_bit_exact(self, tmp_path):
         rng = np.random.default_rng(70)
@@ -412,3 +417,36 @@ class TestCheckpoint:
         again = network.load_checkpoint(path)
         assert again.head.trainable
         assert np.array_equal(again.head.rows, model.head.rows)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(kind=st.sampled_from(list(polytope.PolytopeKind)), K=st.integers(2, 60),
+           trainable=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_round_trip_keeps_every_bit(self, tmp_path, kind, K, trainable, seed):
+        weights = polytope.make_weights(kind, K)
+        if not trainable:
+            again = polytope.from_dict(polytope.to_dict(weights))
+            assert same_header(again, weights)
+            assert again.rows.tobytes() == weights.rows.tobytes()
+            assert not again.rows.flags.writeable
+        model = init_model(3, [4, weights.dim], weights, seed, trainable)
+        # layer parameters drawn over most of the float64 exponent range; head
+        # rows whose norms stay clear of the floor losses.unit_rows rejects
+        rng = np.random.default_rng(seed)
+        for layer in model.layers:
+            for p in (layer.w, layer.b, layer.slope):
+                p[...] = rng.normal(size=p.shape) * 10.0 ** rng.integers(-300, 300, p.shape)
+        if trainable:
+            model.head.rows[...] *= 10.0 ** rng.integers(-6, 6, model.head.rows.shape)
+        path = tmp_path / "ckpt.json"
+        network.save_checkpoint(model, path)
+        again = network.load_checkpoint(path)
+        assert again.input_dim == model.input_dim
+        assert again.head.trainable is trainable
+        assert again.head.rows.tobytes() == model.head.rows.tobytes()
+        assert len(parameters(again)) == len(parameters(model))
+        for got, want in zip(parameters(again), parameters(model)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        if not trainable:
+            assert same_header(again.head, weights)
+            assert not again.head.rows.flags.writeable

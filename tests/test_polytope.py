@@ -4,11 +4,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polyhead import polytope
-from polyhead.polytope import (ClassCountError, PolytopeKind, StructuralError,
-                               embedding_dim, expected_angle, make_cube,
-                               make_orthoplex, make_simplex, verify_geometry)
+from polyhead.polytope import (ClassCountError, ClassifierWeights, PolytopeKind,
+                               StructuralError, embedding_dim, expected_angle,
+                               make_cube, make_orthoplex, make_simplex, verify_geometry)
 
 ALL_KINDS = list(PolytopeKind)
 
@@ -186,6 +187,13 @@ def float_bits(x):
     return np.float64(x).view(np.uint64)
 
 
+def all_pair_angles(rows):
+    """Brute force: the angle of every distinct row pair, as a flat array."""
+    rows = np.ascontiguousarray(rows)
+    gram = np.clip(rows @ rows.T, -1.0, 1.0)
+    return np.arccos(gram[np.triu_indices(rows.shape[0], k=1)])
+
+
 class TestMinPairwiseAngle:
     def test_matches_min_of_all_angles_bitwise(self):
         heads = [maker(K) for maker in (make_simplex, make_orthoplex, make_cube)
@@ -213,7 +221,7 @@ class TestMinPairwiseAngle:
             contiguous = np.ascontiguousarray(rows)
             g = contiguous @ contiguous.T
             assert np.array_equal(g, g.T)
-            expected = polytope.pairwise_angles(rows).min()
+            expected = all_pair_angles(rows).min()
             assert float_bits(polytope.min_pairwise_angle(rows)) == float_bits(expected)
 
     def test_verify_geometry_reports_the_same_min_angle(self):
@@ -221,7 +229,7 @@ class TestMinPairwiseAngle:
         check = verify_geometry(w)
         assert check.passed
         assert float_bits(check.min_angle) == float_bits(
-            polytope.pairwise_angles(w.rows).min())
+            all_pair_angles(w.rows).min())
 
     def test_cube_1000_check_holds_only_the_gram_matrix(self):
         # numpy reports its buffers to tracemalloc, so the bound is exact
@@ -234,6 +242,33 @@ class TestMinPairwiseAngle:
         finally:
             tracemalloc.stop()
         assert peak < 1.25 * 1000 * 1000 * 8
+
+
+class TestGeometryProperty:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(kind=st.sampled_from(ALL_KINDS), K=st.integers(2, 200),
+           extra_dims=st.integers(0, 8), nudge_seed=st.integers(0, 2**32 - 1))
+    def test_check_matches_brute_force(self, kind, K, extra_dims, nudge_seed):
+        w = polytope._MAKERS[kind](K, embedding_dim(kind, K) + extra_dims)
+        heads = [w]
+        if kind is PolytopeKind.SIMPLEX and w.dim > 1:
+            # one row turned by about 1e-6 rad: a FAIL on the angle
+            rows = w.rows.copy()
+            rng = np.random.default_rng(nudge_seed)
+            i = rng.integers(K)
+            rows[i] += 1e-6 * rng.normal(size=w.dim)
+            rows[i] /= np.linalg.norm(rows[i])
+            heads.append(ClassifierWeights(w.kind, K, w.dim, rows, w.phi))
+        for head in heads:
+            check = verify_geometry(head, tol=1e-10)
+            assert check.passed is (head is w), check.message
+            angles = all_pair_angles(head.rows)
+            assert float_bits(check.min_angle) == float_bits(angles.min())
+            if kind is PolytopeKind.SIMPLEX:
+                norm_dev = np.abs(np.linalg.norm(head.rows, axis=1) - 1.0).max()
+                expected = max(norm_dev, np.abs(angles - w.phi).max())
+                assert float_bits(check.worst_deviation) == float_bits(expected)
+        assert check.passed or check.message.startswith("pairwise angle deviates")
 
 
 def loop_orthoplex(K, d):
@@ -273,7 +308,7 @@ class TestInvariants:
     @pytest.mark.parametrize("K", range(2, 40))
     def test_cube_min_angle(self, K):
         w = make_cube(K)
-        angles = polytope.pairwise_angles(w.rows)
+        angles = all_pair_angles(w.rows)
         assert abs(angles.min() - w.phi) <= 1e-10
 
     @pytest.mark.parametrize("maker", [make_simplex, make_orthoplex, make_cube])

@@ -1,6 +1,9 @@
-"""Digest of every artifact of a 50-config ``train`` + ``eval --out`` grid.
+"""Digest of every artifact of the head commands and a 50-config training grid.
 
-Runs ``polyhead.cli.main`` in-process on each config of the grid: six loss
+Runs ``polyhead.cli.main`` in-process.  First ``gen-weights`` and ``check``
+of every polytope family at each class count of HEAD_CLASSES, then a
+``check`` of the simplex-10 file with one entry nudged by 1e-6, which fails
+(exit 1).  Then ``train`` + ``eval --out`` on each config of the grid: six loss
 settings (plain_ce with the default batch_size and lr, fixed_softmax,
 norm_scaled with an integer kappa, angular_margin at m = 0 given as an
 integer, 0.4 and "max") x fixed and trainable heads x blobs and 8x8 IDX
@@ -32,6 +35,7 @@ import os
 import sys
 from pathlib import Path
 
+HEAD_CLASSES = (2, 10, 47, 1000)
 CLASSES = 5
 LOSSES = {
     "plain_ce": {"kind": "plain_ce"},
@@ -68,6 +72,23 @@ def write_idx_pairs() -> None:
         images = np.clip(templates[labels] + 0.3 * rng.normal(size=(n, 64)), 0, 1)
         data.write_idx(data.LabeledBatch(images, labels), f"{stem}-images",
                        f"{stem}-labels", 8, 8)
+
+
+def run_head_commands() -> None:
+    """gen-weights and check of each family and head size, and a check that fails."""
+    Path("heads").mkdir()
+    for kind in ("simplex", "orthoplex", "cube"):
+        for classes in HEAD_CLASSES:
+            name = f"{kind}-{classes}"
+            path = f"heads/{name}.json"
+            run_command("gen-weights", name, ["gen-weights", "--kind", kind,
+                                              "--classes", str(classes), "--out", path])
+            run_command("check", name, ["check", "--weights", path])
+    payload = json.loads(Path("heads/simplex-10.json").read_text())
+    payload["rows"][0][1] += 1e-6  # turns row 0 more than it stretches it
+    Path("heads/simplex-10-nudged.json").write_text(json.dumps(payload))
+    run_command("check", "simplex-10-nudged",
+                ["check", "--weights", "heads/simplex-10-nudged.json"])
 
 
 def configs():
@@ -128,6 +149,7 @@ def main(argv=None) -> int:
 
     out.mkdir(parents=True, exist_ok=True)
     os.chdir(out)
+    run_head_commands()
     write_idx_pairs()
     for name, config, eval_data in configs():
         Path(f"{name}.json").write_text(json.dumps(config, indent=2))
