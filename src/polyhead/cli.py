@@ -147,10 +147,11 @@ def _tolerance(text: str) -> float:
 
 def _score(model: network.MlpModel, dataset: datamod.LabeledBatch) -> tuple:
     """The model's features of the whole dataset and their geometry report.
-    A model whose features are not finite is a ConfigError."""
+    A model whose features, or their norms, are not finite is a ConfigError."""
     with np.errstate(over="ignore", invalid="ignore"):  # checked right after
         feats, _ = network.forward(model, dataset.inputs)
-    if not np.isfinite(feats).all():
+        norms = np.linalg.norm(feats, axis=1)
+    if not np.isfinite(norms).all():
         raise ConfigError("the model gives non-finite features on this dataset")
     preds = network.predict(model, dataset.inputs)
     return feats, metrics.geometry_report(model.head, feats, dataset.labels, preds)

@@ -25,6 +25,13 @@ PRELU_SLOPE_INIT = 0.25
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# The most rows that classify scores in one product.  Its blocks start every
+# half of this and the rows left over join the last block, because a short
+# product rounds differently: OpenBLAS sends one row to gemv, and K x rows
+# <= 1200 (with d >= 32) to a small-matrix kernel.  Blocks that start at
+# multiples of 768 rows keep the whole product's bits with one BLAS thread;
+# 1024-row blocks do not (K=300, d=299).
+SCORE_BLOCK_ROWS = 1536
 
 
 class CacheError(ValueError):
@@ -166,10 +173,25 @@ def adam_step(model: MlpModel, grads: List[np.ndarray], state: AdamState):
     return model, state
 
 
+def score_blocks(n: int) -> List[tuple]:
+    """The row ranges ``[start, stop)`` that ``classify`` scores one product
+    at a time: one every ``SCORE_BLOCK_ROWS // 2`` rows, the last running to
+    ``n``, so a block holds fewer than SCORE_BLOCK_ROWS rows, and fewer than
+    half of them only when it is all ``n`` rows (one empty block at n = 0)."""
+    step = SCORE_BLOCK_ROWS // 2
+    bounds = list(range(0, n - step + 1, step)) or [0]
+    return list(zip(bounds, bounds[1:] + [n]))
+
+
 def classify(head: ClassifierWeights, features: np.ndarray) -> np.ndarray:
-    """Argmax cosine to the head's unit rows; ties go to the lowest index."""
+    """Argmax cosine to the head's unit rows; ties go to the lowest index.
+    Only one block's scores (see ``score_blocks``) exist at a time, never
+    the N x K matrix."""
     unit, _ = losses.unit_rows(head)
-    return np.argmax(features @ unit.T, axis=1)
+    preds = np.empty(len(features), dtype=np.intp)
+    for start, stop in score_blocks(len(features)):
+        np.argmax(features[start:stop] @ unit.T, axis=1, out=preds[start:stop])
+    return preds
 
 
 def predict(model: MlpModel, batch: np.ndarray) -> np.ndarray:

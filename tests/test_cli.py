@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from polyhead import cli, data, network
 from polyhead.polytope import load_json, make_orthoplex, make_simplex, to_dict
@@ -289,6 +289,20 @@ class TestTrain:
                               loss={"kind": "plain_ce"},
                               dataset={"type": "blobs", "classes": 3, "dim": 3,
                                        "per_class": 10, "spread": 1.0,
+                                       "separation": 6.0, "seed": 6})
+        assert run(["train", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: the model gives non-finite features on this dataset\n")
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_feature_norms_exit_2(self, tmp_path, capsys):
+        # the features stay finite, but their norms, which the report takes,
+        # overflow
+        path, _ = blob_config(tmp_path, epochs=1, lr=3e76, hidden_widths=[3],
+                              loss={"kind": "plain_ce"},
+                              dataset={"type": "blobs", "classes": 4, "dim": 3,
+                                       "per_class": 5, "spread": 1.0,
                                        "separation": 6.0, "seed": 6})
         assert run(["train", "--config", str(path)]) == 2
         assert capsys.readouterr().err == (
@@ -596,6 +610,29 @@ class TestEvalFuzz:
         assert run(["eval", "--checkpoint", str(path), "--blobs-classes", "2",
                     "--blobs-dim", "3", "--blobs-per-class", "5",
                     "--out", str(tmp_path / "report.json")]) in (0, 2)
+
+
+class TestTrainConfigFuzz:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_perturbed_config_exits_0_2_or_3(self, tmp_path, capsys, data):
+        _, config = blob_config(tmp_path, epochs=1, hidden_widths=[3],
+                                dataset={"type": "blobs", "classes": 4, "dim": 3,
+                                         "per_class": 5, "spread": 1.0,
+                                         "separation": 6.0, "seed": 6})
+        for _ in range(data.draw(st.integers(1, 3))):
+            config = perturb(config, data)
+        # a run of 10**400 epochs is a valid one that never ends
+        assume(not (isinstance(config, dict) and config.get("epochs") == 10 ** 400))
+        path = tmp_path / "fuzzed.json"
+        path.write_text(json.dumps(config))
+        code = run(["train", "--config", str(path), "--out-dir", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3)
+        assert err == "" if code == 0 else (err.startswith("error: ")
+                                            and err.count("\n") == 1)
 
 
 # IDX header fields at their edges (negative, zero, the int32 limits) or small

@@ -1,5 +1,10 @@
 import copy
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +14,7 @@ from polyhead import losses, network, polytope
 from polyhead.data import make_blobs
 from polyhead.network import (AdamState, CacheError, TrainConfig, adam_step,
                               backward, classify, forward, init_model, parameters,
-                              predict, train)
+                              predict, score_blocks, train)
 from polyhead.polytope import ClassifierWeights, make_cube, make_orthoplex, make_simplex
 
 
@@ -298,6 +303,66 @@ class TestPredict:
                 if c > best_cos + 1e-15:
                     best, best_cos = j, c
             assert preds[n] == best
+
+
+def check_block_bits():
+    """Asserts that each block of ``score_blocks`` has the bits of the same
+    rows of the whole product, and that ``classify`` is the whole product's
+    argmax.  The (300, 299) head fails it with SCORE_BLOCK_ROWS = 1024, and
+    the (47, 46) and (300, 299) heads fail it at N = 1538 if the last two
+    rows are a block of their own."""
+    rng = np.random.default_rng(27)
+    for head in (make_simplex(10), make_simplex(47), make_cube(1000), make_simplex(300)):
+        for n in (1, 2, 1536, 1537, 1538, 3073, 10001):
+            f = rng.normal(size=(n, head.dim))
+            whole = f @ head.rows.T
+            for start, stop in score_blocks(n):
+                assert np.array_equal(f[start:stop] @ head.rows.T, whole[start:stop]), \
+                    (head.num_classes, head.dim, n, start, stop)
+            assert np.array_equal(classify(head, f), np.argmax(whole, axis=1))
+
+
+class TestScoreBlocks:
+    def test_blocks_keep_the_whole_products_bits(self):
+        # a BLAS with several threads splits a product among them by its
+        # shape, so the bits are pinned with one thread, as the benchmark runs
+        env = dict(os.environ, PYTHONPATH=str(Path(network.__file__).parents[1]),
+                   OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-c",
+                               "import test_network; test_network.check_block_bits()"],
+                              cwd=Path(__file__).parent, env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_blocks_cover_the_rows_in_order(self):
+        for n in (0, 1, 767, 768, 1535, 1536, 2303, 2304, 10001):
+            blocks = score_blocks(n)
+            assert blocks[0][0] == 0 and blocks[-1][1] == n
+            assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+            assert all(stop - start < network.SCORE_BLOCK_ROWS for start, stop in blocks)
+            assert all(stop - start >= network.SCORE_BLOCK_ROWS // 2
+                       for start, stop in blocks) or blocks == [(0, n)]
+
+    def test_no_features(self):
+        head = make_cube(8)
+        preds = classify(head, np.empty((0, head.dim)))
+        assert preds.dtype == np.intp and preds.shape == (0,)
+        with pytest.raises(ValueError):  # the empty product still checks the width
+            classify(head, np.empty((0, head.dim + 1)))
+
+    def test_peak_memory_is_one_block_of_scores(self):
+        # numpy reports its buffers to tracemalloc; the whole 10k x 1000
+        # score matrix would be 80 MB
+        head = make_cube(1000)
+        f = np.random.default_rng(28).normal(size=(10000, head.dim))
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            classify(head, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * 1536 * 1000 * 8
 
 
 class TestTrain:
