@@ -91,7 +91,7 @@ def init_model(input_dim: int, hidden_widths: List[int], head: ClassifierWeights
 
     if trainable:
         rows = rng.normal(0.0, np.sqrt(2.0 / head.dim), size=head.rows.shape)
-        head = ClassifierWeights(None, *rows.shape, rows, head.phi, True)
+        head = ClassifierWeights(None, rows, head.phi, True)
     return MlpModel(input_dim, layers, head)
 
 
@@ -273,7 +273,7 @@ def model_from_dict(payload: dict) -> MlpModel:
         head = weights_from_dict(head_payload["weights"])
     else:
         rows = check_rows(head_payload["rows"])
-        head = ClassifierWeights(None, *rows.shape, rows, math.nan, True)
+        head = ClassifierWeights(None, rows, math.nan, True)
         losses.unit_rows(head)  # a zero row has no direction to score against
     if head.dim != width:
         raise StructuralError(f"head d={head.dim} != last layer width {width}")

@@ -42,22 +42,32 @@ class StructuralError(ValueError):
 
 @dataclass(frozen=True)
 class ClassifierWeights:
-    """K classifier rows in d dimensions: a fixed polytope head or the
-    trainable baseline.
+    """K classifier rows in d dimensions, the shape of ``rows``: a fixed
+    polytope head or the trainable baseline.
 
-    A fixed head's rows are the polytope's unit vertices, read-only, and
-    never move.  A trainable head's rows are raw parameters that Adam
+    A fixed head's rows are the polytope's unit vertices, made read-only
+    when the head is built.  A trainable head's rows are raw parameters that Adam
     updates in place; its ``kind`` is None, and every angular use of its
     rows goes through ``losses.unit_rows``.  ``phi`` is the vertex angle
     of the polytope the head is or stands in for (nan when unknown).
     """
 
     kind: Optional[PolytopeKind]
-    num_classes: int
-    dim: int
     rows: np.ndarray  # shape (K, d)
     phi: float
     trainable: bool = False
+
+    def __post_init__(self):
+        if not self.trainable:
+            self.rows.setflags(write=False)
+
+    @property
+    def num_classes(self) -> int:
+        return self.rows.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.rows.shape[1]
 
 
 @dataclass(frozen=True)
@@ -93,19 +103,6 @@ def expected_angle(kind: PolytopeKind, dim: int) -> float:
     return math.acos((dim - 2.0) / dim)
 
 
-def _finalize(kind: PolytopeKind, num_classes: int, rows: np.ndarray) -> ClassifierWeights:
-    rows = np.ascontiguousarray(rows, dtype=np.float64)
-    rows.setflags(write=False)
-    dim = rows.shape[1]
-    return ClassifierWeights(
-        kind=kind,
-        num_classes=num_classes,
-        dim=dim,
-        rows=rows,
-        phi=expected_angle(kind, dim),
-    )
-
-
 def _resolve_dim(kind: PolytopeKind, num_classes: int, dim) -> int:
     """``dim``, or the family's smallest for K when None; checked before any
     array is built."""
@@ -132,21 +129,23 @@ def make_simplex(num_classes: int, dim: int | None = None) -> ClassifierWeights:
     (in that order).  A larger ``dim`` takes the first K vertices of the
     bigger simplex.
     """
-    dim = _resolve_dim(PolytopeKind.SIMPLEX, num_classes, dim)
+    kind = PolytopeKind.SIMPLEX
+    dim = _resolve_dim(kind, num_classes, dim)
     alpha = (1.0 - math.sqrt(dim + 1.0)) / dim
     verts = np.vstack([np.eye(dim), alpha * np.ones((1, dim))])
     verts -= verts.mean(axis=0)
     verts /= np.linalg.norm(verts, axis=1, keepdims=True)
-    return _finalize(PolytopeKind.SIMPLEX, num_classes, verts[:num_classes])
+    return ClassifierWeights(kind, verts[:num_classes], expected_angle(kind, dim))
 
 
 def make_orthoplex(num_classes: int, dim: int | None = None) -> ClassifierWeights:
     """Orthoplex: first K of (+e1, -e1, +e2, -e2, ...) in d = ceil(K/2) dims."""
-    dim = _resolve_dim(PolytopeKind.ORTHOPLEX, num_classes, dim)
+    kind = PolytopeKind.ORTHOPLEX
+    dim = _resolve_dim(kind, num_classes, dim)
     i = np.arange(num_classes)
     verts = np.zeros((num_classes, dim))
     verts[i, i // 2] = np.where(i % 2 == 0, 1.0, -1.0)
-    return _finalize(PolytopeKind.ORTHOPLEX, num_classes, verts)
+    return ClassifierWeights(kind, verts, expected_angle(kind, dim))
 
 
 def make_cube(num_classes: int, dim: int | None = None) -> ClassifierWeights:
@@ -155,11 +154,12 @@ def make_cube(num_classes: int, dim: int | None = None) -> ClassifierWeights:
     Sign vectors are enumerated lexicographically with -1 before +1 in
     every coordinate, making the K < 2^d subset deterministic.
     """
-    dim = _resolve_dim(PolytopeKind.CUBE, num_classes, dim)
+    kind = PolytopeKind.CUBE
+    dim = _resolve_dim(kind, num_classes, dim)
     scale = 1.0 / math.sqrt(dim)
     bits = (np.arange(num_classes)[:, None] >> np.arange(dim - 1, -1, -1)) & 1
     verts = np.where(bits == 1, scale, -scale)
-    return _finalize(PolytopeKind.CUBE, num_classes, verts)
+    return ClassifierWeights(kind, verts, expected_angle(kind, dim))
 
 
 _MAKERS = {
@@ -220,7 +220,7 @@ def verify_geometry(weights: ClassifierWeights, tol: float = DEFAULT_TOL) -> Geo
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
-    rows = check_rows(weights.rows, (weights.num_classes, weights.dim))
+    rows = check_rows(weights.rows)
     norm_dev = float(np.max(np.abs(np.linalg.norm(rows, axis=1) - 1.0)))
     angles = _extreme_angles(rows, largest=weights.kind is PolytopeKind.SIMPLEX)
     min_angle = angles[-1].item()
@@ -235,10 +235,8 @@ def verify_geometry(weights: ClassifierWeights, tol: float = DEFAULT_TOL) -> Geo
 
     if weights.kind is PolytopeKind.ORTHOPLEX and weights.num_classes == 2:
         angle_dev = float(abs(min_angle - math.pi))
-    elif weights.kind is PolytopeKind.SIMPLEX:
+    else:  # the extreme angles: the simplex's two, or the smallest
         angle_dev = float(np.max(np.abs(angles - phi)))
-    else:
-        angle_dev = float(abs(min_angle - phi))
 
     worst = max(norm_dev, angle_dev, phi_dev)
     if not phi_dev <= tol:  # a NaN phi fails too
@@ -267,14 +265,7 @@ def from_dict(payload: dict) -> ClassifierWeights:
     """The head a JSON payload describes, its rows checked against the header."""
     kind = PolytopeKind(payload["kind"])
     rows = check_rows(payload["rows"], (payload["K"], payload["d"]))
-    rows.setflags(write=False)
-    return ClassifierWeights(
-        kind=kind,
-        num_classes=int(payload["K"]),
-        dim=int(payload["d"]),
-        rows=rows,
-        phi=float(payload["phi"]),
-    )
+    return ClassifierWeights(kind, rows, float(payload["phi"]))
 
 
 def save_json(weights: ClassifierWeights, path) -> None:

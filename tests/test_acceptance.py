@@ -97,7 +97,7 @@ def test_criterion_3_loss_identities():
     # plain cross-entropy of zero logits: PlainCE over a head of identity rows
     exact = all(
         losses.evaluate(losses.PlainCE(),
-                        ClassifierWeights(None, K, K, np.eye(K), math.nan),
+                        ClassifierWeights(None, np.eye(K), math.nan),
                         np.zeros((1, K)), np.zeros(1, dtype=int)).value
         == math.log(K)
         for K in (2, 10, 47))

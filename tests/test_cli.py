@@ -114,7 +114,10 @@ class TestCheck:
         '{"kind": "prism", "K": 2, "d": 1, "phi": 1.0, "rows": [[1.0], [-1.0]]}',
         '{"kind": "cube", "K": 2, "d": 1, "phi": 1.0, "rows": [[1.0], ["a"]]}',
         '{"kind": "cube", "K": 1, "d": 1, "phi": 1.0, "rows": [[1.0]]}',
-        '{"kind": "cube", "K": 2, "d": 1, "phi": 1.0, "rows": [[1.0], [NaN]]}'])
+        '{"kind": "cube", "K": 2, "d": 1, "phi": 1.0, "rows": [[1.0], [NaN]]}',
+        # a header K or d that disagrees with the rows
+        '{"kind": "cube", "K": 3, "d": 1, "phi": 1.0, "rows": [[1.0], [-1.0]]}',
+        '{"kind": "cube", "K": 2, "d": 2, "phi": 1.0, "rows": [[1.0], [-1.0]]}'])
     def test_malformed_file(self, tmp_path, text):
         out = tmp_path / "w.json"
         out.write_text(text)

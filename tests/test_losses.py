@@ -52,7 +52,7 @@ def well_conditioned(kind, w, f, y, margin=0.0):
 def eye_head(K):
     """A fixed head with identity rows: PlainCE over it scores the features
     themselves as logits."""
-    return ClassifierWeights(None, K, K, np.eye(K), math.nan)
+    return ClassifierWeights(None, np.eye(K), math.nan)
 
 
 class TestLogits:
@@ -414,7 +414,7 @@ def cube_head(K, trainable):
         return head
     rows = np.random.default_rng(K).normal(0.0, math.sqrt(2.0 / head.dim),
                                            size=head.rows.shape)
-    return ClassifierWeights(None, K, head.dim, rows, head.phi, True)
+    return ClassifierWeights(None, rows, head.phi, True)
 
 
 def grid_kinds(head):
@@ -494,7 +494,7 @@ class TestGradientProperty:
         rng = np.random.default_rng(seed)
         if trainable:
             rows = head.rows + 0.3 * rng.normal(size=head.rows.shape)
-            head = ClassifierWeights(None, head.num_classes, head.dim, rows, head.phi, True)
+            head = ClassifierWeights(None, rows, head.phi, True)
         f = random_features(rng, n, head.dim)
         y = rng.integers(0, head.num_classes, n)
         assume(well_conditioned(kind, head, f, y))
@@ -502,6 +502,5 @@ class TestGradientProperty:
         if trainable:
             analytic = losses.evaluate(kind, head, f, y).grad_weights
             num = numeric_grad(lambda r: losses.evaluate(
-                kind, ClassifierWeights(None, head.num_classes, head.dim, r,
-                                        head.phi, True), f, y).value, head.rows)
+                kind, ClassifierWeights(None, r, head.phi, True), f, y).value, head.rows)
             assert np.abs(analytic - num).max() <= 1e-5 * np.abs(analytic).max()

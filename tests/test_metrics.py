@@ -100,8 +100,7 @@ class TestGeometryReport:
     def test_strict_json_writes_null_for_non_finite(self, tmp_path):
         import json
         w = make_simplex(4)
-        baseline = ClassifierWeights(None, 4, w.dim, w.rows.copy(), math.nan,
-                                     trainable=True)
+        baseline = ClassifierWeights(None, w.rows.copy(), math.nan, trainable=True)
         feats = np.repeat(w.rows[2][None, :], 3, axis=0)
         labels = np.full(3, 2)
         path = tmp_path / "report.json"

@@ -475,7 +475,7 @@ class TestCheckpoint:
         assert np.array_equal(predict(model, x), predict(again, x))
 
     def test_trainable_head_round_trip(self, tmp_path):
-        head = ClassifierWeights(None, 5, 2, np.zeros((5, 2)), math.nan)
+        head = ClassifierWeights(None, np.zeros((5, 2)), math.nan)
         model = init_model(3, [4, 2], head, seed=72, trainable=True)
         path = tmp_path / "ckpt.json"
         network.save_checkpoint(model, path)
@@ -515,3 +515,43 @@ class TestCheckpoint:
         if not trainable:
             assert same_header(again.head, weights)
             assert not again.head.rows.flags.writeable
+
+
+class TestHeadRows:
+    """A fixed head's rows are read-only however the head is made; a
+    trainable head's rows are writable and are the array Adam moves."""
+
+    def test_fixed_rows_are_read_only(self, tmp_path):
+        cube = make_cube(8)
+        polytope.save_json(cube, tmp_path / "w.json")
+        network.save_checkpoint(init_model(3, [4, 3], cube, seed=80), tmp_path / "ckpt.json")
+        given_rows = np.eye(3)
+        heads = [cube, make_simplex(5), make_orthoplex(5),
+                 polytope.load_json(tmp_path / "w.json"),
+                 network.load_checkpoint(tmp_path / "ckpt.json").head,
+                 ClassifierWeights(None, given_rows, math.nan)]
+        for head in heads:
+            assert not head.trainable and not head.rows.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                head.rows[0, 0] = 0.5
+        assert heads[-1].rows is given_rows
+
+    def test_trainable_rows_are_what_adam_moves(self, tmp_path):
+        model = init_model(3, [4, 3], make_cube(8), seed=81, trainable=True)
+        network.save_checkpoint(model, tmp_path / "ckpt.json")
+        loaded = network.load_checkpoint(tmp_path / "ckpt.json")
+        given_rows = np.random.default_rng(82).normal(size=(8, 3))
+        built = init_model(3, [4, 3], make_cube(8), seed=81)
+        built.head = ClassifierWeights(None, given_rows, math.nan, True)
+        rng = np.random.default_rng(83)
+        x, y = rng.normal(size=(6, 3)), rng.integers(0, 8, 6)
+        for m in (model, loaded, built):
+            rows = m.head.rows
+            assert rows.flags.writeable and parameters(m)[-1] is rows
+            before = rows.copy()
+            feats, cache = forward(m, x)
+            res = losses.evaluate(losses.FixedSoftmax(), m.head, feats, y)
+            adam_step(m, backward(m, cache, res.grad_features, res.grad_weights),
+                      AdamState(lr=0.1))
+            assert m.head.rows is rows and not np.array_equal(rows, before)
+        assert built.head.rows is given_rows

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from polyhead import polytope
 from polyhead.polytope import (ClassCountError, ClassifierWeights, PolytopeKind,
-                               StructuralError, embedding_dim, expected_angle,
-                               make_cube, make_orthoplex, make_simplex, verify_geometry)
+                               embedding_dim, expected_angle, make_cube,
+                               make_orthoplex, make_simplex, verify_geometry)
 
 ALL_KINDS = list(PolytopeKind)
 
@@ -170,17 +170,10 @@ class TestVerifyGeometry:
         w = make_simplex(4)
         rows = w.rows.copy()
         rows[1] = rows[0]
-        bad = polytope.ClassifierWeights(w.kind, w.num_classes, w.dim, rows,
-                                         w.phi)
+        bad = polytope.ClassifierWeights(w.kind, rows, w.phi)
         check = verify_geometry(bad, tol=1e-10)
         assert not check.passed
         assert check.min_angle == pytest.approx(0.0, abs=1e-12)
-
-    def test_malformed_raises(self):
-        w = make_simplex(4)
-        bad = polytope.ClassifierWeights(w.kind, 5, w.dim, w.rows, w.phi)
-        with pytest.raises(StructuralError):
-            verify_geometry(bad)
 
 
 def float_bits(x):
@@ -258,7 +251,7 @@ class TestGeometryProperty:
             i = rng.integers(K)
             rows[i] += 1e-6 * rng.normal(size=w.dim)
             rows[i] /= np.linalg.norm(rows[i])
-            heads.append(ClassifierWeights(w.kind, K, w.dim, rows, w.phi))
+            heads.append(ClassifierWeights(w.kind, rows, w.phi))
         for head in heads:
             check = verify_geometry(head, tol=1e-10)
             assert check.passed is (head is w), check.message

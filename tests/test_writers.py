@@ -93,8 +93,7 @@ def heads():
     """A fixed simplex, a fixed cube, and a trainable head of each shape."""
     rng = np.random.default_rng(40)
     fixed = [make_simplex(6), make_cube(12)]
-    return fixed + [ClassifierWeights(None, w.num_classes, w.dim,
-                                      rng.normal(size=w.rows.shape), w.phi, True)
+    return fixed + [ClassifierWeights(None, rng.normal(size=w.rows.shape), w.phi, True)
                     for w in fixed]
 
 
@@ -179,8 +178,7 @@ def grouped_inputs(draw):
                             draw(st.integers(2, 40)))
     else:
         classes, dim = draw(st.integers(1, 40)), draw(st.integers(1, 12))
-        head = ClassifierWeights(None, classes, dim, np.zeros((classes, dim)),
-                                 math.nan, True)
+        head = ClassifierWeights(None, np.zeros((classes, dim)), math.nan, True)
     counts = draw(st.lists(COUNTS, min_size=head.num_classes,
                            max_size=head.num_classes))
     zeros = draw(st.integers(0, 3))
@@ -294,8 +292,7 @@ class TestJsonMatchesJsonDump:
         features cancel (mean direction None), so no pair is left (no_pairs)."""
         head = make_cube(1000)
         rng = np.random.default_rng(45)
-        head = ClassifierWeights(None, 1000, head.dim, rng.normal(size=head.rows.shape),
-                                 math.nan, True)
+        head = ClassifierWeights(None, rng.normal(size=head.rows.shape), math.nan, True)
         if present == "all":
             labels = np.repeat(np.arange(1000), 3)
             features = head.rows[labels] + rng.normal(size=(3000, head.dim))
