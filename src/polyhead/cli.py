@@ -24,8 +24,8 @@ import numpy as np
 
 from . import data as datamod
 from . import losses, metrics, network
-from .polytope import (PolytopeKind, load_json, make_weights, save_json,
-                       verify_geometry)
+from .polytope import (DEFAULT_TOL, PolytopeKind, load_json, make_weights,
+                       save_json, verify_geometry)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -195,6 +195,10 @@ def cmd_train(args) -> int:
         for key in ("epochs", "batch_size"):
             if cfg[key] < 1:
                 raise ConfigError(f"{key} must be at least 1, got {cfg[key]}")
+        per_epoch = -(-len(dataset) // cfg["batch_size"])
+        if cfg["epochs"] * per_epoch > network.MAX_TRAIN_STEPS:
+            raise ConfigError(f"epochs {cfg['epochs']} x {per_epoch} batches exceed "
+                              f"MAX_TRAIN_STEPS ({network.MAX_TRAIN_STEPS}) steps")
         if not (math.isfinite(cfg["lr"]) and cfg["lr"] >= 0):
             raise ConfigError(f"lr must be finite and at least 0, got {cfg['lr']}")
         if dataset.labels.max() >= weights.num_classes:
@@ -273,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="verify a weights file")
     p.add_argument("--weights", required=True)
-    p.add_argument("--tol", type=_tolerance, default=1e-10)
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("train", help="train from a JSON config")

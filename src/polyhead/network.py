@@ -25,6 +25,13 @@ PRELU_SLOPE_INIT = 0.25
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# Entries of the layers' weight matrices that init_model may draw, checked
+# before any draw: 128 MiB of float64, and as much again for each of the
+# gradients and Adam's two moments.  A 784 -> 256 -> 9 MLP holds 203k.
+MAX_MODEL_ENTRIES = 1 << 24
+# The most optimizer steps, epochs x batches per epoch, that a train config
+# may ask for; every test, tool and benchmark config takes a few hundred.
+MAX_TRAIN_STEPS = 10 ** 7
 # The most rows that classify scores in one product.  Its blocks start every
 # half of this and the rows left over join the last block, because a short
 # product rounds differently: OpenBLAS sends one row to gemv, and K x rows
@@ -81,13 +88,15 @@ def init_model(input_dim: int, hidden_widths: List[int], head: ClassifierWeights
         raise ValueError(f"hidden widths must be positive, got {hidden_widths}")
     if head.dim != hidden_widths[-1]:
         raise ValueError(f"last hidden width {hidden_widths[-1]} != head dim {head.dim}")
+    fan_ins = [input_dim, *hidden_widths[:-1]]
+    if sum(w * f for w, f in zip(hidden_widths, fan_ins)) > MAX_MODEL_ENTRIES:
+        raise ValueError(f"hidden widths {hidden_widths} on {input_dim} inputs need "
+                         f"more than MAX_MODEL_ENTRIES ({MAX_MODEL_ENTRIES}) weights")
     rng = np.random.default_rng(seed)
     layers = []
-    fan_in = input_dim
-    for width in hidden_widths:
+    for width, fan_in in zip(hidden_widths, fan_ins):
         w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(width, fan_in))
         layers.append(Layer(w, np.zeros(width), np.full(width, PRELU_SLOPE_INIT)))
-        fan_in = width
 
     if trainable:
         rows = rng.normal(0.0, np.sqrt(2.0 / head.dim), size=head.rows.shape)
@@ -256,8 +265,9 @@ def _finite_array(values, ndim: int, what: str) -> np.ndarray:
 
 def model_from_dict(payload: dict) -> MlpModel:
     """The model a checkpoint describes.  Raises StructuralError unless
-    every parameter is finite and the widths chain from ``input_dim``
-    through each layer's ``w``, ``b`` and ``slope`` to the head's d."""
+    every parameter is finite, the head type is "fixed" or "trainable" and
+    the widths chain from ``input_dim`` through each layer's ``w``, ``b``
+    and ``slope`` to the head's d."""
     input_dim = width = int(payload["input_dim"])
     layers = []
     for i, entry in enumerate(payload["layers"]):
@@ -271,10 +281,11 @@ def model_from_dict(payload: dict) -> MlpModel:
     head_payload = payload["head"]
     if head_payload["type"] == "fixed":
         head = weights_from_dict(head_payload["weights"])
-    else:
-        rows = check_rows(head_payload["rows"])
-        head = ClassifierWeights(None, rows, math.nan, True)
+    elif head_payload["type"] == "trainable":
+        head = ClassifierWeights(None, check_rows(head_payload["rows"]), math.nan, True)
         losses.unit_rows(head)  # a zero row has no direction to score against
+    else:
+        raise StructuralError(f"unknown head type {head_payload['type']!r}")
     if head.dim != width:
         raise StructuralError(f"head d={head.dim} != last layer width {width}")
     return MlpModel(input_dim, layers, head)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from polyhead import cli, data, network
 from polyhead.polytope import load_json, make_orthoplex, make_simplex, to_dict
@@ -242,6 +242,8 @@ class TestTrain:
         {"dataset": {"type": "blobs", "classes": 4, "dim": 3,
                      "per_class": 100, "spread": math.nan, "separation": 6.0,
                      "seed": 6}},
+        {"hidden_widths": [10 ** 9]},
+        {"epochs": 10 ** 400},
     ], ids=["epochs_zero", "epochs_bool", "seed_str", "batch_size_float",
             "hidden_widths_str", "hidden_width_bool", "classes_str",
             "trainable_str", "lr_str", "kappa_bool", "blobs_seed_bool",
@@ -252,7 +254,8 @@ class TestTrain:
             "blobs_unknown_key", "batch_size_default_as_float", "trainable_int",
             "out_dir_int", "classes_missing", "classifier_str",
             "classifier_too_large", "blobs_too_large", "blobs_dim_too_large",
-            "kappa_nan", "kappa_inf", "lr_negative", "lr_nan", "blobs_spread_nan"])
+            "kappa_nan", "kappa_inf", "lr_negative", "lr_nan", "blobs_spread_nan",
+            "hidden_width_huge", "epochs_huge"])
     def test_config_types_and_ranges(self, tmp_path, monkeypatch, overrides):
         monkeypatch.chdir(tmp_path)  # a valid IDX pair for the idx cases
         data.write_idx(data.LabeledBatch(np.eye(4), np.arange(4)), "images",
@@ -276,6 +279,43 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key} must be finite") and err.count("\n") == 1
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("overrides,message", [
+        ({"hidden_widths": [10 ** 9]},
+         "hidden widths [1000000000, 3] on 3 inputs need more than MAX_MODEL_ENTRIES "
+         f"({network.MAX_MODEL_ENTRIES}) weights"),
+        ({"epochs": 10 ** 9},
+         f"epochs 1000000000 x 7 batches exceed MAX_TRAIN_STEPS "
+         f"({network.MAX_TRAIN_STEPS}) steps"),
+        ({"epochs": network.MAX_TRAIN_STEPS // 400 + 1, "batch_size": 1},
+         f"epochs {network.MAX_TRAIN_STEPS // 400 + 1} x 400 batches exceed "
+         f"MAX_TRAIN_STEPS ({network.MAX_TRAIN_STEPS}) steps"),
+    ], ids=["hidden_width", "epochs", "epochs_of_single_samples"])
+    def test_too_large_run_named(self, tmp_path, capsys, overrides, message):
+        path, _ = blob_config(tmp_path, **overrides)
+        assert run(["train", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "run").exists()
+
+    def test_idx_limit_takes_the_first_images(self, tmp_path):
+        rng = np.random.default_rng(14)
+        images = rng.random((40, 9))
+        labels = np.arange(40) % 4
+        data.write_idx(data.LabeledBatch(images, labels), tmp_path / "all-images",
+                       tmp_path / "all-labels", 3, 3)
+        data.write_idx(data.LabeledBatch(images[:25], labels[:25]),
+                       tmp_path / "head-images", tmp_path / "head-labels", 3, 3)
+        runs = {}
+        for name, limit in (("all", {"limit": 25}), ("head", {})):
+            path, _ = blob_config(tmp_path, epochs=3, batch_size=8, dataset={
+                "type": "idx", "images": str(tmp_path / f"{name}-images"),
+                "labels": str(tmp_path / f"{name}-labels"), **limit})
+            assert run(["train", "--config", str(path),
+                        "--out-dir", str(tmp_path / name)]) == 0
+            runs[name] = [(tmp_path / name / f).read_bytes()
+                          for f in ("epochs.csv", "features.csv")]
+        assert runs["all"] == runs["head"]
+        assert runs["all"][1].count(b"\n") == 26  # a header and 25 rows
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverged_run_exits_2(self, tmp_path, capsys):
@@ -534,6 +574,8 @@ class TestEval:
                      False, id="overflowing_weight"),
         pytest.param(lambda p: p["head"].update(type="trainable", rows=[[1.0, 0.0]]),
                      True, id="one_trainable_row"),
+        pytest.param(lambda p: p["head"].update(type="banana", rows=[[1.0, 0.0]] * 4),
+                     False, id="unknown_head_type"),
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_inconsistent_checkpoint(self, tmp_path, edit, zero_labels):
@@ -569,9 +611,10 @@ class TestEval:
             "", "error: provide --images/--labels or --blobs-* options\n")
 
 
+# 10**9 is a huge count or width, 10**400 one beyond every float
 JUNK = st.one_of(st.text(max_size=3), st.booleans(), st.none(), st.floats(),
-                 st.integers(-3, 3), st.just(10 ** 400),
-                 st.lists(st.integers(0, 2), max_size=3),
+                 st.integers(-3, 3), st.sampled_from([10 ** 9, 10 ** 400]),
+                 st.lists(st.sampled_from([0, 1, 2, 10 ** 9]), max_size=3),
                  st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
 
 
@@ -621,14 +664,15 @@ class TestTrainConfigFuzz:
     @given(data=st.data())
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_perturbed_config_exits_0_2_or_3(self, tmp_path, capsys, data):
-        _, config = blob_config(tmp_path, epochs=1, hidden_widths=[3],
+        # now and then a run of too many steps or a model too large to build
+        sizes = data.draw(st.sampled_from([{}] * 6 + [{"epochs": 10 ** 400},
+                                                       {"hidden_widths": [10 ** 9]}]))
+        _, config = blob_config(tmp_path, **{"epochs": 1, "hidden_widths": [3], **sizes},
                                 dataset={"type": "blobs", "classes": 4, "dim": 3,
                                          "per_class": 5, "spread": 1.0,
                                          "separation": 6.0, "seed": 6})
         for _ in range(data.draw(st.integers(1, 3))):
             config = perturb(config, data)
-        # a run of 10**400 epochs is a valid one that never ends
-        assume(not (isinstance(config, dict) and config.get("epochs") == 10 ** 400))
         path = tmp_path / "fuzzed.json"
         path.write_text(json.dumps(config))
         code = run(["train", "--config", str(path), "--out-dir", str(tmp_path / "run")])

@@ -1,6 +1,7 @@
 import copy
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -57,6 +58,27 @@ class TestInit:
     def test_width_mismatch(self):
         with pytest.raises(ValueError):
             init_model(4, [4, 7], make_simplex(10), seed=0)
+
+    @pytest.mark.parametrize("widths", [[10 ** 9, 2], [2, 10 ** 9, 2], [10 ** 400, 2]],
+                             ids=["first", "inner", "beyond_float"])
+    def test_huge_width_raises_before_any_draw(self, widths):
+        with pytest.raises(ValueError, match=re.escape(f"hidden widths {widths} on 3 "
+                                                       "inputs need more than "
+                                                       "MAX_MODEL_ENTRIES")):
+            init_model(3, widths, make_orthoplex(4), seed=0)
+
+    def test_weight_bound_is_inclusive(self, monkeypatch):
+        # 3 x 5 + 5 x 2 = 25 weight entries; biases and slopes do not count
+        monkeypatch.setattr(network, "MAX_MODEL_ENTRIES", 25)
+        model = init_model(3, [5, 2], make_orthoplex(4), seed=3)
+        monkeypatch.setattr(network, "MAX_MODEL_ENTRIES", 24)
+        with pytest.raises(ValueError, match="MAX_MODEL_ENTRIES"):
+            init_model(3, [5, 2], make_orthoplex(4), seed=3)
+        # the draws are those of an unbounded model of the same seed
+        monkeypatch.setattr(network, "MAX_MODEL_ENTRIES", 1 << 24)
+        again = init_model(3, [5, 2], make_orthoplex(4), seed=3)
+        for pa, pb in zip(parameters(model), parameters(again)):
+            assert pa.tobytes() == pb.tobytes()
 
     def test_biases_zero_slopes_quarter(self):
         model = init_model(3, [5, 2], make_simplex(3), seed=2)
@@ -473,6 +495,13 @@ class TestCheckpoint:
         assert np.array_equal(fa, fb)
         assert np.array_equal(model.head.rows, again.head.rows)
         assert np.array_equal(predict(model, x), predict(again, x))
+
+    def test_unknown_head_type_named(self):
+        payload = network.model_to_dict(init_model(3, [4, 2], make_orthoplex(4), seed=73,
+                                                   trainable=True))
+        payload["head"]["type"] = "banana"
+        with pytest.raises(polytope.StructuralError, match="unknown head type 'banana'"):
+            network.model_from_dict(payload)
 
     def test_trainable_head_round_trip(self, tmp_path):
         head = ClassifierWeights(None, np.zeros((5, 2)), math.nan)
