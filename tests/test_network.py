@@ -70,15 +70,10 @@ class TestInit:
     def test_weight_bound_is_inclusive(self, monkeypatch):
         # 3 x 5 + 5 x 2 = 25 weight entries; biases and slopes do not count
         monkeypatch.setattr(network, "MAX_MODEL_ENTRIES", 25)
-        model = init_model(3, [5, 2], make_orthoplex(4), seed=3)
+        init_model(3, [5, 2], make_orthoplex(4), seed=3)
         monkeypatch.setattr(network, "MAX_MODEL_ENTRIES", 24)
         with pytest.raises(ValueError, match="MAX_MODEL_ENTRIES"):
             init_model(3, [5, 2], make_orthoplex(4), seed=3)
-        # the draws are those of an unbounded model of the same seed
-        monkeypatch.setattr(network, "MAX_MODEL_ENTRIES", 1 << 24)
-        again = init_model(3, [5, 2], make_orthoplex(4), seed=3)
-        for pa, pb in zip(parameters(model), parameters(again)):
-            assert pa.tobytes() == pb.tobytes()
 
     def test_biases_zero_slopes_quarter(self):
         model = init_model(3, [5, 2], make_simplex(3), seed=2)
