@@ -18,7 +18,7 @@ import numpy as np
 
 from . import losses
 from .data import LabeledBatch, batches
-from .polytope import (ClassifierWeights, StructuralError, check_rows,
+from .polytope import (ClassifierWeights, StructuralError, check_rows, json_field,
                        from_dict as weights_from_dict, to_dict as weights_to_dict)
 
 PRELU_SLOPE_INIT = 0.25
@@ -266,9 +266,9 @@ def _finite_array(values, ndim: int, what: str) -> np.ndarray:
 def model_from_dict(payload: dict) -> MlpModel:
     """The model a checkpoint describes.  Raises StructuralError unless
     every parameter is finite, the head type is "fixed" or "trainable" and
-    the widths chain from ``input_dim`` through each layer's ``w``, ``b``
-    and ``slope`` to the head's d."""
-    input_dim = width = int(payload["input_dim"])
+    the widths chain from ``input_dim``, a JSON integer, through each
+    layer's ``w``, ``b`` and ``slope`` to the head's d."""
+    input_dim = width = json_field(payload, "input_dim")
     layers = []
     for i, entry in enumerate(payload["layers"]):
         w, b, slope = (_finite_array(entry[key], ndim, f"layer {i} {key}")

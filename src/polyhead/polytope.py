@@ -260,11 +260,22 @@ def to_dict(weights: ClassifierWeights) -> dict:
     return dict(_header(weights), rows=weights.rows.tolist())
 
 
+def json_field(payload: dict, key: str, integer: bool = True):
+    """``payload[key]`` if it is a JSON integer, or any JSON number when not
+    ``integer``.  Raises StructuralError naming the key otherwise: a bool, a
+    string or a float where an integer belongs."""
+    value = payload[key]
+    if type(value) not in ((int,) if integer else (int, float)):
+        raise StructuralError(f"{key} must be a JSON {'integer' if integer else 'number'}, "
+                              f"got {value!r:.40}")
+    return value
+
+
 def from_dict(payload: dict) -> ClassifierWeights:
     """The head a JSON payload describes, its rows checked against the header."""
     kind = PolytopeKind(payload["kind"])
-    rows = check_rows(payload["rows"], (payload["K"], payload["d"]))
-    return ClassifierWeights(kind, rows, float(payload["phi"]))
+    rows = check_rows(payload["rows"], (json_field(payload, "K"), json_field(payload, "d")))
+    return ClassifierWeights(kind, rows, float(json_field(payload, "phi", integer=False)))
 
 
 def _rows_text(rows: np.ndarray) -> str:

@@ -117,11 +117,31 @@ class TestCheck:
         '{"kind": "cube", "K": 2, "d": 1, "phi": 1.0, "rows": [[1.0], [NaN]]}',
         # a header K or d that disagrees with the rows
         '{"kind": "cube", "K": 3, "d": 1, "phi": 1.0, "rows": [[1.0], [-1.0]]}',
-        '{"kind": "cube", "K": 2, "d": 2, "phi": 1.0, "rows": [[1.0], [-1.0]]}'])
+        '{"kind": "cube", "K": 2, "d": 2, "phi": 1.0, "rows": [[1.0], [-1.0]]}',
+        # a header value of the wrong JSON type on the 2-class cube, which
+        # passes with "K": 2, "d": 1, "phi": 3.141592653589793
+        '{"kind": "cube", "K": 2.0, "d": 1, "phi": 3.141592653589793, '
+        '"rows": [[-1.0], [1.0]]}',
+        '{"kind": "cube", "K": 2, "d": true, "phi": 3.141592653589793, '
+        '"rows": [[-1.0], [1.0]]}',
+        '{"kind": "cube", "K": 2, "d": 1, "phi": "3.141592653589793", '
+        '"rows": [[-1.0], [1.0]]}',
+        '{"kind": "cube", "K": 2, "d": 1, "phi": true, "rows": [[-1.0], [1.0]]}'])
     def test_malformed_file(self, tmp_path, text):
         out = tmp_path / "w.json"
         out.write_text(text)
         assert run(["check", "--weights", str(out)]) == 2
+
+    def test_header_type_named(self, tmp_path, capsys):
+        out = tmp_path / "w.json"
+        run(["gen-weights", "--kind", "simplex", "--classes", "8",
+             "--out", str(out)])
+        payload = json.loads(out.read_text())
+        payload["K"] = 8.0
+        out.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run(["check", "--weights", str(out)]) == 2
+        assert capsys.readouterr() == ("", "error: K must be a JSON integer, got 8.0\n")
 
 
 def blob_config(tmp_path, **overrides):
@@ -567,6 +587,12 @@ class TestEval:
                      False, id="zero_trainable_row"),
         pytest.param(lambda p: p.update(input_dim=math.inf),
                      False, id="infinite_input_dim"),
+        pytest.param(lambda p: p.update(input_dim=3.5), False, id="fractional_input_dim"),
+        pytest.param(lambda p: p.update(input_dim="3"), False, id="string_input_dim"),
+        pytest.param(lambda p: p["head"]["weights"].update(d=2.0),
+                     False, id="fixed_head_float_d"),
+        pytest.param(lambda p: p["head"]["weights"].update(phi=str(math.pi / 2)),
+                     False, id="fixed_head_string_phi"),
         pytest.param(lambda p: p["layers"][0]["w"][0].__setitem__(0, 1e308),
                      False, id="overflowing_weight"),
         pytest.param(lambda p: p["head"].update(type="trainable", rows=[[1.0, 0.0]]),
