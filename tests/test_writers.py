@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from polyhead import cli, metrics, network
 from polyhead.polytope import (ClassifierWeights, PolytopeKind, make_cube, make_simplex,
@@ -252,6 +252,24 @@ class TestExportScatterMatchesCsvWriter:
                     == (tmp_path / "old.csv").read_bytes())
 
 
+@st.composite
+def head_files(draw):
+    """A head of any kind and phi whose rows are not a polytope's: either
+    drawn from SPECIAL, with 0.0 and -0.0 both present, or all distinct
+    over exponents 1e-300..1e300.  Shapes run down to two rows and one
+    column."""
+    shape = (draw(st.sampled_from([2, 3, 7, 40])), draw(st.sampled_from([1, 2, 5, 30])))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        rows = rng.choice(SPECIAL, size=shape)
+        rows[0, 0], rows[-1, -1] = 0.0, -0.0
+    else:
+        rows = (rng.choice([-1.0, 1.0], size=shape) * rng.uniform(1.0, 10.0, size=shape)
+                * 10.0 ** rng.integers(-300, 301, size=shape))
+    return ClassifierWeights(draw(st.sampled_from(list(PolytopeKind))), rows,
+                             draw(st.sampled_from(SPECIAL + [math.pi / 2])))
+
+
 class TestJsonMatchesJsonDump:
     @pytest.mark.parametrize("head", HEADS, ids=HEAD_IDS)
     def test_checkpoint(self, tmp_path, head):
@@ -272,6 +290,14 @@ class TestJsonMatchesJsonDump:
     @pytest.mark.parametrize("classes", [2, 10, 47, 1000])
     def test_head_file(self, tmp_path, kind, classes):
         weights = make_weights(kind, classes)
+        save_json(weights, tmp_path / "new.json")
+        json_dump_reference(to_dict(weights), tmp_path / "old.json")
+        assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(weights=head_files())
+    def test_head_file_of_any_rows(self, tmp_path, weights):
         save_json(weights, tmp_path / "new.json")
         json_dump_reference(to_dict(weights), tmp_path / "old.json")
         assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
