@@ -24,7 +24,7 @@ import numpy as np
 
 from . import data as datamod
 from . import losses, metrics, network
-from .polytope import (DEFAULT_TOL, PolytopeKind, load_json, make_weights,
+from .polytope import (DEFAULT_TOL, PolytopeKind, json_field, load_json, make_weights,
                        save_json, verify_geometry)
 
 EXIT_OK = 0
@@ -45,7 +45,7 @@ def _reading():
         yield
     except KeyError as exc:
         raise ConfigError(f"missing key {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:  # int(inf), float(10**400)
+    except (TypeError, ValueError, OverflowError) as exc:  # e.g. a ragged array
         raise ConfigError(str(exc)) from exc
 
 
@@ -74,20 +74,9 @@ _SECTIONS = {
 }
 
 
-def _is_json(value, kind: type) -> bool:
-    """JSON type test: true/false is not a number; an integer is a float."""
-    if kind is list:
-        return isinstance(value, list) and all(_is_json(v, int) for v in value)
-    accepted = (int, float) if kind is float else kind
-    return isinstance(value, bool) == (kind is bool) and isinstance(value, accepted)
-
-
-def _section(section, where: str) -> dict:
-    """The keys of ``_SECTIONS[where]`` read from ``section``, with defaults
-    filled in and numbers as floats.  The margin ``m`` also takes "max",
-    its default."""
-    if not isinstance(section, dict):
-        raise ConfigError(f"{where} must be a JSON object, got {section!r}")
+def _section(section: dict, where: str) -> dict:
+    """The keys of ``_SECTIONS[where]`` read from ``section`` by ``json_field``,
+    with defaults filled in.  The margin ``m`` also takes "max", its default."""
     keys = _SECTIONS[where]
     unknown = set(section) - set(keys)
     if unknown:
@@ -96,15 +85,9 @@ def _section(section, where: str) -> dict:
                if default is _REQUIRED} - set(section)
     if missing:
         raise ConfigError(f"missing key(s) in {where}: {sorted(missing)}")
-    values = {}
-    for key, (kind, default) in keys.items():
-        value = section.get(key, default)
-        if key in section and not (_is_json(value, kind) or value == default == "max"):
-            type_name = "list of int" if kind is list else kind.__name__
-            raise ConfigError(f"{where} key {key!r} must be of type {type_name}, "
-                              f"got {value!r}")
-        values[key] = float(value) if kind is float and value != "max" else value
-    return values
+    return {key: default if key not in section or section[key] == default == "max"
+            else json_field(section, key, kind, f"{where} key {key!r}")
+            for key, (kind, default) in keys.items()}
 
 
 def _parse_loss(section, phi: float) -> tuple:
@@ -182,7 +165,7 @@ def cmd_check(args) -> int:
 def cmd_train(args) -> int:
     with _reading():
         config = json.loads(Path(args.config).read_text())
-        cfg = _section(config, "config")
+        cfg = _section(json_field(config, None, dict, "config"), "config")
         out_dir = Path(args.out_dir or cfg["out_dir"])
         classifier = _section(cfg["classifier"], "classifier")
         weights = make_weights(PolytopeKind(classifier["kind"]), classifier["classes"])

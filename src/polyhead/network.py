@@ -256,7 +256,10 @@ def model_to_dict(model: MlpModel) -> dict:
 
 
 def _finite_array(values, ndim: int, what: str) -> np.ndarray:
-    array = np.asarray(values, dtype=np.float64)
+    try:
+        array = np.asarray(values, dtype=np.float64)
+    except OverflowError:  # an integer beyond float range
+        raise StructuralError(f"{what} holds an integer beyond float range") from None
     if array.ndim != ndim or not np.all(np.isfinite(array)):
         raise StructuralError(f"{what} must be a finite {ndim}-D array, "
                               f"got shape {array.shape}")
@@ -264,13 +267,13 @@ def _finite_array(values, ndim: int, what: str) -> np.ndarray:
 
 
 def model_from_dict(payload: dict) -> MlpModel:
-    """The model a checkpoint describes.  Raises StructuralError unless
-    every parameter is finite, the head type is "fixed" or "trainable" and
-    the widths chain from ``input_dim``, a JSON integer, through each
-    layer's ``w``, ``b`` and ``slope`` to the head's d."""
+    """The model a checkpoint describes.  Raises StructuralError unless its keys
+    are of their JSON kinds, every parameter is finite, the head type is "fixed"
+    or "trainable" and the widths chain from ``input_dim`` through each layer's
+    ``w``, ``b`` and ``slope`` to the head's d."""
     input_dim = width = json_field(payload, "input_dim")
     layers = []
-    for i, entry in enumerate(payload["layers"]):
+    for i, entry in enumerate(json_field(payload, "layers", list, items=dict)):
         w, b, slope = (_finite_array(entry[key], ndim, f"layer {i} {key}")
                        for key, ndim in (("w", 2), ("b", 1), ("slope", 1)))
         if w.shape[1] != width or not b.shape == slope.shape == (w.shape[0],):
@@ -278,14 +281,15 @@ def model_from_dict(payload: dict) -> MlpModel:
                                   f"{w.shape}, b {b.shape} and slope {slope.shape}")
         layers.append(Layer(w, b, slope))
         width = w.shape[0]
-    head_payload = payload["head"]
-    if head_payload["type"] == "fixed":
-        head = weights_from_dict(head_payload["weights"])
-    elif head_payload["type"] == "trainable":
+    head_payload = json_field(payload, "head", dict)
+    head_type = json_field(head_payload, "type", str, "head type")
+    if head_type == "fixed":
+        head = weights_from_dict(json_field(head_payload, "weights", dict))
+    elif head_type == "trainable":
         head = ClassifierWeights(None, check_rows(head_payload["rows"]), math.nan, True)
         losses.unit_rows(head)  # a zero row has no direction to score against
     else:
-        raise StructuralError(f"unknown head type {head_payload['type']!r}")
+        raise StructuralError(f"unknown head type {head_type!r}")
     if head.dim != width:
         raise StructuralError(f"head d={head.dim} != last layer width {width}")
     return MlpModel(input_dim, layers, head)
@@ -301,4 +305,4 @@ def save_checkpoint(model: MlpModel, path, extra: Optional[dict] = None) -> None
 
 def load_checkpoint(path) -> MlpModel:
     with open(path) as fh:
-        return model_from_dict(json.load(fh))
+        return model_from_dict(json_field(json.load(fh), None, dict, "checkpoint"))

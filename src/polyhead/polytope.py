@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -23,6 +24,9 @@ DEFAULT_TOL = 1e-10
 # Entries of the largest matrix a maker may build, (d+1) x d for the simplex
 # and K x d otherwise: 128 MiB of float64, enough for the simplex of 4096 classes.
 MAX_HEAD_ENTRIES = 1 << 24
+# json_field's word for each JSON kind, keyed by the type json.load gives it
+_JSON_KINDS = {int: "integer", float: "number in float range", bool: "true/false",
+               str: "string", dict: "object"}
 
 
 class PolytopeKind(Enum):
@@ -37,7 +41,7 @@ class ClassCountError(ValueError):
 
 
 class StructuralError(ValueError):
-    """Raised when a weight matrix is malformed (shape, finiteness)."""
+    """Raised when a weight matrix (shape, finiteness) or a JSON value is malformed."""
 
 
 @dataclass(frozen=True)
@@ -176,7 +180,10 @@ def make_weights(kind: PolytopeKind, num_classes: int) -> ClassifierWeights:
 def check_rows(values, shape: Optional[tuple] = None) -> np.ndarray:
     """``values`` as float64 head rows.  Raises StructuralError unless they
     are a finite 2-D array with at least 2 rows, of ``shape`` when given."""
-    rows = np.asarray(values, dtype=np.float64)
+    try:
+        rows = np.asarray(values, dtype=np.float64)
+    except OverflowError:  # an integer beyond float range
+        raise StructuralError("head rows hold an integer beyond float range") from None
     if not (rows.ndim == 2 and rows.shape[0] >= 2 and rows.shape == (shape or rows.shape)
             and np.all(np.isfinite(rows))):
         raise StructuralError(f"head rows must be finite, at least 2 and of shape "
@@ -260,22 +267,25 @@ def to_dict(weights: ClassifierWeights) -> dict:
     return dict(_header(weights), rows=weights.rows.tolist())
 
 
-def json_field(payload: dict, key: str, integer: bool = True):
-    """``payload[key]`` if it is a JSON integer, or any JSON number when not
-    ``integer``.  Raises StructuralError naming the key otherwise: a bool, a
-    string or a float where an integer belongs."""
-    value = payload[key]
-    if type(value) not in ((int,) if integer else (int, float)):
-        raise StructuralError(f"{key} must be a JSON {'integer' if integer else 'number'}, "
-                              f"got {value!r:.40}")
+def json_field(payload, key, kind: type = int, name: str = "", items: type = int):
+    """``payload[key]`` (``payload`` when ``key`` is None) if it is a JSON integer
+    (``kind`` int), number (float, returned as a float: NaN and Infinity are one,
+    an integer beyond float range is not), true/false, string, object (dict) or
+    list of ``items``.  Otherwise raises StructuralError naming ``name`` or ``key``."""
+    value = payload if key is None else payload[key]
+    if kind is float and type(value) is int and abs(value) <= sys.float_info.max:
+        value = float(value)
+    if type(value) is not kind or kind is list and any(type(v) is not items for v in value):
+        noun = f"list of {_JSON_KINDS[items]}s" if kind is list else _JSON_KINDS[kind]
+        raise StructuralError(f"{name or key} must be a JSON {noun}, got {value!r:.40}")
     return value
 
 
 def from_dict(payload: dict) -> ClassifierWeights:
     """The head a JSON payload describes, its rows checked against the header."""
-    kind = PolytopeKind(payload["kind"])
+    kind = PolytopeKind(json_field(payload, "kind", str))
     rows = check_rows(payload["rows"], (json_field(payload, "K"), json_field(payload, "d")))
-    return ClassifierWeights(kind, rows, float(json_field(payload, "phi", integer=False)))
+    return ClassifierWeights(kind, rows, json_field(payload, "phi", float))
 
 
 def _rows_text(rows: np.ndarray) -> str:
@@ -308,4 +318,4 @@ def save_json(weights: ClassifierWeights, path) -> None:
 
 def load_json(path) -> ClassifierWeights:
     with open(path) as fh:
-        return from_dict(json.load(fh))
+        return from_dict(json_field(json.load(fh), None, dict, "head file"))

@@ -143,6 +143,25 @@ class TestCheck:
         assert run(["check", "--weights", str(out)]) == 2
         assert capsys.readouterr() == ("", "error: K must be a JSON integer, got 8.0\n")
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda p: p.update(phi=10 ** 320),
+         f"phi must be a JSON number in float range, got {str(10 ** 320)[:40]}"),
+        (lambda p: p.update(kind=5), "kind must be a JSON string, got 5"),
+        (lambda p: [1, 2], "head file must be a JSON object, got [1, 2]"),
+    ], ids=["phi_beyond_float", "kind_int", "list_document"])
+    def test_header_value_named(self, tmp_path, capsys, edit, message):
+        out = tmp_path / "w.json"
+        run(["gen-weights", "--kind", "simplex", "--classes", "3", "--out", str(out)])
+        payload = json.loads(out.read_text())
+        out.write_text(json.dumps(edit(payload) or payload))
+        capsys.readouterr()
+        assert run(["check", "--weights", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+# the message for a number key given 10**400, which no float holds
+BEYOND_FLOAT = f"must be a JSON number in float range, got {str(10 ** 400)[:40]}"
+
 
 def blob_config(tmp_path, **overrides):
     config = {
@@ -307,7 +326,21 @@ class TestTrain:
         ({"epochs": network.MAX_TRAIN_STEPS // 400 + 1, "batch_size": 1},
          f"epochs {network.MAX_TRAIN_STEPS // 400 + 1} x 400 batches exceed "
          f"MAX_TRAIN_STEPS ({network.MAX_TRAIN_STEPS}) steps"),
-    ], ids=["hidden_width", "epochs", "epochs_of_single_samples"])
+        ({"lr": 10 ** 400}, f"config key 'lr' {BEYOND_FLOAT}"),
+        ({"loss": {"kind": "angular_margin", "kappa": 10 ** 400}},
+         f"loss key 'kappa' {BEYOND_FLOAT}"),
+        ({"loss": {"kind": "angular_margin", "m": 10 ** 400}},
+         f"loss key 'm' {BEYOND_FLOAT}"),
+        ({"dataset": {"type": "blobs", "classes": 4, "dim": 3, "per_class": 100,
+                      "spread": 10 ** 400, "separation": 6.0, "seed": 6}},
+         f"blobs key 'spread' {BEYOND_FLOAT}"),
+        ({"dataset": {"type": "blobs", "classes": 4, "dim": 3, "per_class": 100,
+                      "spread": 1.0, "separation": -10 ** 400, "seed": 6}},
+         f"blobs key 'separation' must be a JSON number in float range, "
+         f"got {str(-10 ** 400)[:40]}"),
+    ], ids=["hidden_width", "epochs", "epochs_of_single_samples", "lr_beyond_float",
+            "kappa_beyond_float", "m_beyond_float", "spread_beyond_float",
+            "separation_beyond_float"])
     def test_too_large_run_named(self, tmp_path, capsys, overrides, message):
         path, _ = blob_config(tmp_path, **overrides)
         assert run(["train", "--config", str(path)]) == 2
@@ -615,6 +648,30 @@ class TestEval:
             eval_data = ["--images", str(images), "--labels", str(labels)]
         assert run(["eval", "--checkpoint", str(path), *eval_data]) == 2
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda p: p.update(layers={}), "layers must be a JSON list of objects, got {}"),
+        (lambda p: p.update(head=[1]), "head must be a JSON object, got [1]"),
+        (lambda p: p["head"].update(type=5), "head type must be a JSON string, got 5"),
+        (lambda p: p["head"].update(weights=[1]), "weights must be a JSON object, got [1]"),
+        (lambda p: p["head"]["weights"].update(phi=10 ** 320),
+         f"phi must be a JSON number in float range, got {str(10 ** 320)[:40]}"),
+        (lambda p: p["layers"][1]["w"][0].__setitem__(1, 10 ** 400),
+         "layer 1 w holds an integer beyond float range"),
+        (lambda p: p["head"].update(type="trainable", rows=[[1.0, 10 ** 400]] * 4),
+         "head rows hold an integer beyond float range"),
+    ], ids=["layers_object", "head_list", "head_type_int", "weights_list",
+            "fixed_head_phi_beyond_float",
+            "weight_beyond_float", "trainable_row_beyond_float"])
+    def test_malformed_value_named(self, tmp_path, capsys, edit, message):
+        payload = network.model_to_dict(network.init_model(3, [5, 2], make_orthoplex(4),
+                                                           seed=0))
+        edit(payload)
+        path = tmp_path / "ckpt.json"
+        path.write_text(json.dumps(payload))
+        assert run(["eval", "--checkpoint", str(path), "--blobs-classes", "2",
+                    "--blobs-dim", "3"]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_images_without_labels(self, tmp_path, capsys):
         path, _ = blob_config(tmp_path, epochs=1)
         assert run(["train", "--config", str(path)]) == 0
@@ -634,6 +691,8 @@ class TestEval:
             "", "error: provide --images/--labels or --blobs-* options\n")
 
 
+# messages of a raw lookup or float conversion, which name no key
+UNNAMED = re.compile("int too large to convert|indices must be integers|string indices")
 # 10**9 is a huge count or width, 10**400 one beyond every float
 JUNK = st.one_of(st.text(max_size=3), st.booleans(), st.none(), st.floats(),
                  st.integers(-3, 3), st.sampled_from([10 ** 9, 10 ** 400]),
@@ -668,7 +727,7 @@ class TestEvalFuzz:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
-    def test_perturbed_checkpoint_exits_0_or_2(self, tmp_path, data):
+    def test_perturbed_checkpoint_exits_0_or_2(self, tmp_path, capsys, data):
         model = network.init_model(3, [5, 2], make_orthoplex(4), seed=0,
                                    trainable=data.draw(st.booleans()))
         payload = network.model_to_dict(model)
@@ -676,9 +735,12 @@ class TestEvalFuzz:
             payload = perturb(payload, data)
         path = tmp_path / "ckpt.json"
         path.write_text(json.dumps(payload))
-        assert run(["eval", "--checkpoint", str(path), "--blobs-classes", "2",
+        code = run(["eval", "--checkpoint", str(path), "--blobs-classes", "2",
                     "--blobs-dim", "3", "--blobs-per-class", "5",
-                    "--out", str(tmp_path / "report.json")]) in (0, 2)
+                    "--out", str(tmp_path / "report.json")])
+        err = capsys.readouterr().err
+        assert code in (0, 2)
+        assert not (code == 2 and UNNAMED.search(err))
 
 
 class TestTrainConfigFuzz:
@@ -703,6 +765,7 @@ class TestTrainConfigFuzz:
         assert code in (0, 2, 3)
         assert err == "" if code == 0 else (err.startswith("error: ")
                                             and err.count("\n") == 1)
+        assert not (code == 2 and UNNAMED.search(err))
 
 
 # IDX header fields at their edges (negative, zero, the int32 limits) or small

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -334,3 +335,53 @@ class TestSerialization:
         payload = json.loads(path.read_text())
         assert set(payload) == {"kind", "K", "d", "phi", "rows"}
         assert payload["kind"] == "cube"
+
+
+class TestJsonField:
+    @pytest.mark.parametrize("value,kind,items,expected", [
+        (3, int, int, 3), (3, float, int, 3.0), (2.5, float, int, 2.5),
+        (-10 ** 308, float, int, -1e308), (True, bool, int, True), ("a", str, int, "a"),
+        ({}, dict, int, {}), ([1, 2], list, int, [1, 2]), ([{}], list, dict, [{}]),
+    ], ids=["int", "int_as_number", "float", "large_int_as_number", "bool", "str",
+            "object", "list_of_ints", "list_of_objects"])
+    def test_accepts_its_kind(self, value, kind, items, expected):
+        got = polytope.json_field({"k": value}, "k", kind, items=items)
+        assert got == expected and type(got) is type(expected)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_floats_are_numbers(self, value):
+        got = polytope.json_field({"k": value}, "k", float)
+        assert got is value or (math.isnan(got) and math.isnan(value))
+
+    @pytest.mark.parametrize("value,kind,items,noun", [
+        (True, int, int, "integer"), (3.0, int, int, "integer"),
+        (True, float, int, "number in float range"),
+        ("1", float, int, "number in float range"),
+        (10 ** 400, float, int, "number in float range"),
+        (-10 ** 400, float, int, "number in float range"),
+        (1, bool, int, "true/false"), (None, str, int, "string"),
+        ([], dict, int, "object"), ([True], list, int, "list of integers"),
+        ([1.0], list, int, "list of integers"), ({}, list, dict, "list of objects"),
+        ([{}, 1], list, dict, "list of objects"),
+    ], ids=["bool_as_int", "float_as_int", "bool_as_number", "str_as_number",
+            "int_beyond_float", "negative_int_beyond_float", "int_as_bool", "null_as_str",
+            "list_as_object", "bool_in_int_list", "float_in_int_list", "object_as_list",
+            "int_in_object_list"])
+    def test_refuses_and_names_the_key(self, value, kind, items, noun):
+        with pytest.raises(polytope.StructuralError) as info:
+            polytope.json_field({"k": value}, "k", kind, items=items)
+        assert str(info.value) == f"k must be a JSON {noun}, got {value!r:.40}"
+
+    def test_name_replaces_the_key_and_none_reads_the_value_itself(self):
+        with pytest.raises(polytope.StructuralError, match="^section key 'k' must"):
+            polytope.json_field({"k": "x"}, "k", int, "section key 'k'")
+        assert polytope.json_field([1], None, list, "doc") == [1]
+        with pytest.raises(polytope.StructuralError,
+                           match=r"^doc must be a JSON object, got \[1\]$"):
+            polytope.json_field([1], None, dict, "doc")
+
+    def test_every_integer_in_float_range_is_a_number(self):
+        largest = int(sys.float_info.max)
+        assert polytope.json_field({"k": largest}, "k", float) == sys.float_info.max
+        with pytest.raises(polytope.StructuralError):
+            polytope.json_field({"k": largest + 1}, "k", float)
