@@ -42,33 +42,10 @@ class GeometryReport:
     accuracy: float
     degenerate: int  # zero-norm features excluded from angular stats
 
-    def to_dict(self) -> dict:
-        """Strict-JSON form: a non-finite float (an unknown phi, the angles
-        of a class with no samples) becomes None."""
-        return {
-            "phi": _finite(self.phi),
-            "min_pairwise_mean_angle": _finite(self.min_pairwise_mean_angle),
-            "no_pairs": self.no_pairs,
-            "accuracy": _finite(self.accuracy),
-            "degenerate": self.degenerate,
-            "per_class": [
-                {
-                    "label": c.label,
-                    "present": c.present,
-                    "count": c.count,
-                    "mean_angle_to_weight": _finite(c.mean_angle_to_weight),
-                    "angle_std": _finite(c.angle_std),
-                    "mean_direction": None if c.mean_direction is None
-                    else list(map(_finite, c.mean_direction)),
-                }
-                for c in self.per_class
-            ],
-        }
-
     def save(self, path) -> None:
-        """Write the bytes of ``json.dumps(self.to_dict(), indent=2,
-        allow_nan=False)``, built here: with ``indent`` set, CPython 3.11's
-        ``json`` encodes in pure Python."""
+        """Write what ``json.dumps(..., indent=2, allow_nan=False)`` writes for
+        the report's fields, a non-finite float as null.  With ``indent`` set,
+        CPython 3.11's ``json`` encodes in pure Python, so the text is built here."""
         classes = [_json_object([
             ("label", str(c.label)),
             ("present", str(c.present).lower()),
@@ -86,11 +63,6 @@ class GeometryReport:
             ("degenerate", str(self.degenerate)),
             ("per_class", _json_block("[]", classes, 1)),
         ], 0))
-
-
-def _finite(value) -> Optional[float]:
-    value = float(value)
-    return value if math.isfinite(value) else None
 
 
 def _json_numbers(values: List[float]) -> List[str]:

@@ -77,6 +77,36 @@ def json_dump_reference(payload, path, **kwargs):
         json.dump(payload, fh, **kwargs)
 
 
+def finite(value):
+    value = float(value)
+    return value if math.isfinite(value) else None
+
+
+def report_to_dict(report):
+    """The strict-JSON dict GeometryReport.to_dict used to build: a
+    non-finite float (an unknown phi, the angles of a class with no
+    samples) becomes None."""
+    return {
+        "phi": finite(report.phi),
+        "min_pairwise_mean_angle": finite(report.min_pairwise_mean_angle),
+        "no_pairs": report.no_pairs,
+        "accuracy": finite(report.accuracy),
+        "degenerate": report.degenerate,
+        "per_class": [
+            {
+                "label": c.label,
+                "present": c.present,
+                "count": c.count,
+                "mean_angle_to_weight": finite(c.mean_angle_to_weight),
+                "angle_std": finite(c.angle_std),
+                "mean_direction": None if c.mean_direction is None
+                else list(map(finite, c.mean_direction)),
+            }
+            for c in report.per_class
+        ],
+    }
+
+
 def report_bits(report):
     """Every field of a report, floats as their bytes and types kept."""
     def bits(*values):
@@ -308,7 +338,7 @@ class TestJsonMatchesJsonDump:
         features, labels = edge_case_features(head, 6)
         report = metrics.geometry_report(head, features, labels, labels)
         report.save(tmp_path / "new.json")
-        json_dump_reference(report.to_dict(), tmp_path / "old.json",
+        json_dump_reference(report_to_dict(report), tmp_path / "old.json",
                             indent=2, allow_nan=False)
         assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
 
@@ -330,7 +360,7 @@ class TestJsonMatchesJsonDump:
         assert report.no_pairs == (present == "two")
         assert (report.per_class[4].mean_direction is None) == (present == "two")
         report.save(tmp_path / "new.json")
-        json_dump_reference(report.to_dict(), tmp_path / "old.json",
+        json_dump_reference(report_to_dict(report), tmp_path / "old.json",
                             indent=2, allow_nan=False)
         assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
 
