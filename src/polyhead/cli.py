@@ -175,9 +175,9 @@ def cmd_train(args) -> int:
         hidden = cfg["hidden_widths"]
         if not hidden or hidden[-1] != weights.dim:
             hidden = hidden + [weights.dim]  # embedding layer appended when omitted
-        for key in ("epochs", "batch_size"):
-            if cfg[key] < 1:
-                raise ConfigError(f"{key} must be at least 1, got {cfg[key]}")
+        for key, least in (("seed", 0), ("epochs", 1), ("batch_size", 1)):
+            if cfg[key] < least:
+                raise ConfigError(f"{key} must be at least {least}, got {cfg[key]}")
         per_epoch = -(-len(dataset) // cfg["batch_size"])
         if cfg["epochs"] * per_epoch > network.MAX_TRAIN_STEPS:
             raise ConfigError(f"epochs {cfg['epochs']} x {per_epoch} batches exceed "

@@ -14,7 +14,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .polytope import make_simplex
+from .polytope import simplex_rows
 
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
@@ -120,11 +120,12 @@ def make_blobs(num_classes: int, dim: int, per_class: int, spread: float,
                separation: float, seed: int) -> LabeledBatch:
     """Gaussian clusters with means at separation * simplex directions.
 
-    Simplex directions are padded with zeros (or truncated) to ``dim``.
-    ``spread`` is a finite standard deviation >= 0 and ``separation`` any
-    finite number, and together they must give finite inputs (a spread of
-    1e308 overflows).  Values are unbounded reals, unlike the [0,1] pixel
-    datasets.
+    Simplex directions are padded with zeros (or truncated) to ``dim``; only
+    the first ``min(dim, K-1)`` columns of the K-class simplex are built.
+    ``spread`` is a finite standard deviation >= 0, ``separation`` any finite
+    number and ``seed`` at least 0, and spread and separation must give finite
+    inputs together (a spread of 1e308 overflows).  Values are unbounded
+    reals, unlike the [0,1] pixel datasets.
     """
     if num_classes < 2:
         raise ValueError(f"need at least 2 classes, got {num_classes}")
@@ -136,13 +137,14 @@ def make_blobs(num_classes: int, dim: int, per_class: int, spread: float,
         raise ValueError(f"spread must be finite and at least 0, got {spread}")
     if not math.isfinite(separation):
         raise ValueError(f"separation must be finite, got {separation}")
+    if seed < 0:
+        raise ValueError(f"seed must be at least 0, got {seed}")
     if num_classes * per_class * dim > MAX_BLOB_ENTRIES:
         raise ValueError(f"{num_classes} classes x {per_class} per class x {dim} dims "
                          f"exceed MAX_BLOB_ENTRIES ({MAX_BLOB_ENTRIES}) entries")
-    directions = make_simplex(num_classes).rows
+    directions = simplex_rows(num_classes, columns=min(dim, num_classes - 1))
     means = np.zeros((num_classes, dim))
-    width = min(dim, directions.shape[1])
-    means[:, :width] = separation * directions[:, :width]
+    means[:, :directions.shape[1]] = separation * directions
 
     # one draw in the order a per-class loop would take it: class by class
     rng = np.random.default_rng(seed)

@@ -21,9 +21,11 @@ from typing import Optional
 import numpy as np
 
 DEFAULT_TOL = 1e-10
-# Entries of the largest matrix a maker may build, (d+1) x d for the simplex
+# Entries of the largest matrix a maker may compute, (d+1) x d for the simplex
 # and K x d otherwise: 128 MiB of float64, enough for the simplex of 4096 classes.
 MAX_HEAD_ENTRIES = 1 << 24
+# Simplex vertices simplex_rows builds at a time
+SIMPLEX_BLOCK_ROWS = 128
 # json_field's word for each JSON kind, keyed by the type json.load gives it
 _JSON_KINDS = {int: "integer", float: "number in float range", bool: "true/false",
                str: "string", dict: "object"}
@@ -125,21 +127,41 @@ def _resolve_dim(kind: PolytopeKind, num_classes: int, dim) -> int:
     return int(dim)
 
 
+def simplex_rows(num_classes: int, dim: int | None = None,
+                 columns: int | None = None) -> np.ndarray:
+    """The first K unit vertices of the regular simplex in ``dim`` dims (K-1
+    when None), cut to their first ``columns`` coordinates (at most ``dim``).
+
+    The vertices e_i and alpha * sum(e_i), alpha = (1 - sqrt(d+1)) / d, are
+    shifted by their centroid, c = (1 + alpha) / (d+1) in every coordinate,
+    and unit-normalized.  Whole rows are built SIMPLEX_BLOCK_ROWS at a time,
+    so each norm is the same pairwise sum as in the full (d+1) x d matrix."""
+    dim = _resolve_dim(PolytopeKind.SIMPLEX, num_classes, dim)
+    columns = dim if columns is None else columns
+    alpha = (1.0 - math.sqrt(dim + 1.0)) / dim
+    c = (1.0 + alpha) / (dim + 1)
+    rows = np.empty((num_classes, columns))
+    for start in range(0, num_classes, SIMPLEX_BLOCK_ROWS):
+        stop = min(start + SIMPLEX_BLOCK_ROWS, num_classes)
+        block = np.full((stop - start, dim), -c)
+        i = np.arange(start, min(stop, dim))
+        block[i - start, i] = 1.0 - c
+        if stop > dim:  # vertex d, the last of the K = d+1
+            block[dim - start] = alpha - c
+        norms = np.linalg.norm(block, axis=1, keepdims=True)
+        np.divide(block[:, :columns], norms, out=rows[start:stop])
+    return rows
+
+
 def make_simplex(num_classes: int, dim: int | None = None) -> ClassifierWeights:
     """Regular simplex: K unit vertices in d = K-1 dims, pairwise cosine -1/d.
 
-    Built from the d standard basis vectors plus alpha * sum(e_i) with
-    alpha = (1 - sqrt(d+1)) / d, then centroid-shifted and unit-normalized
-    (in that order).  A larger ``dim`` takes the first K vertices of the
-    bigger simplex.
+    A larger ``dim`` takes the first K vertices of the bigger simplex; see
+    ``simplex_rows``.
     """
+    rows = simplex_rows(num_classes, dim)
     kind = PolytopeKind.SIMPLEX
-    dim = _resolve_dim(kind, num_classes, dim)
-    alpha = (1.0 - math.sqrt(dim + 1.0)) / dim
-    verts = np.vstack([np.eye(dim), alpha * np.ones((1, dim))])
-    verts -= verts.mean(axis=0)
-    verts /= np.linalg.norm(verts, axis=1, keepdims=True)
-    return ClassifierWeights(kind, verts[:num_classes], expected_angle(kind, dim))
+    return ClassifierWeights(kind, rows, expected_angle(kind, rows.shape[1]))
 
 
 def make_orthoplex(num_classes: int, dim: int | None = None) -> ClassifierWeights:

@@ -281,6 +281,10 @@ class TestTrain:
         {"dataset": {"type": "blobs", "classes": 4, "dim": 3,
                      "per_class": 100, "spread": math.nan, "separation": 6.0,
                      "seed": 6}},
+        {"seed": -1},
+        {"dataset": {"type": "blobs", "classes": 4, "dim": 3,
+                     "per_class": 100, "spread": 1.0, "separation": 6.0,
+                     "seed": -3}},
     ], ids=["epochs_zero", "epochs_bool", "seed_str", "batch_size_float",
             "hidden_widths_str", "hidden_width_bool", "classes_str",
             "trainable_str", "lr_str", "kappa_bool", "blobs_seed_bool",
@@ -291,7 +295,8 @@ class TestTrain:
             "blobs_unknown_key", "batch_size_default_as_float", "trainable_int",
             "out_dir_int", "classes_missing", "classifier_str",
             "classifier_too_large", "blobs_too_large", "blobs_dim_too_large",
-            "kappa_nan", "kappa_inf", "lr_negative", "lr_nan", "blobs_spread_nan"])
+            "kappa_nan", "kappa_inf", "lr_negative", "lr_nan", "blobs_spread_nan",
+            "seed_negative", "blobs_seed_negative"])
     def test_config_types_and_ranges(self, tmp_path, monkeypatch, overrides):
         monkeypatch.chdir(tmp_path)  # a valid IDX pair for the idx cases
         data.write_idx(data.LabeledBatch(np.eye(4), np.arange(4)), "images",
@@ -300,20 +305,26 @@ class TestTrain:
         assert run(["train", "--config", str(path)]) == 2
         assert not (tmp_path / "run").exists()
 
-    @pytest.mark.parametrize("overrides,key", [
-        ({"loss": {"kind": "angular_margin", "kappa": math.nan}}, "kappa"),
-        ({"loss": {"kind": "norm_scaled", "kappa": math.inf}}, "kappa"),
-        ({"lr": -0.01}, "lr"),
-        ({"lr": math.nan}, "lr"),
+    @pytest.mark.parametrize("overrides,rule", [
+        ({"loss": {"kind": "angular_margin", "kappa": math.nan}}, "kappa must be finite"),
+        ({"loss": {"kind": "norm_scaled", "kappa": math.inf}}, "kappa must be finite"),
+        ({"lr": -0.01}, "lr must be finite"),
+        ({"lr": math.nan}, "lr must be finite"),
         ({"dataset": {"type": "blobs", "classes": 4, "dim": 3, "per_class": 100,
-                      "spread": math.nan, "separation": 6.0, "seed": 6}}, "spread"),
-    ], ids=["kappa_nan", "kappa_inf", "lr_negative", "lr_nan", "blobs_spread_nan"])
+                      "spread": math.nan, "separation": 6.0, "seed": 6}},
+         "spread must be finite"),
+        ({"seed": -1}, "seed must be at least 0, got -1"),
+        ({"dataset": {"type": "blobs", "classes": 4, "dim": 3, "per_class": 100,
+                      "spread": 1.0, "separation": 6.0, "seed": -3}},
+         "seed must be at least 0, got -3"),
+    ], ids=["kappa_nan", "kappa_inf", "lr_negative", "lr_nan", "blobs_spread_nan",
+            "seed_negative", "blobs_seed_negative"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_out_of_range_value_named(self, tmp_path, capsys, overrides, key):
+    def test_out_of_range_value_named(self, tmp_path, capsys, overrides, rule):
         path, _ = blob_config(tmp_path, **overrides)
         assert run(["train", "--config", str(path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {key} must be finite") and err.count("\n") == 1
+        assert err.startswith(f"error: {rule}") and err.count("\n") == 1
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("overrides,message", [
@@ -543,12 +554,14 @@ class TestEval:
                     *blobs]) == 2
         assert "MAX_BLOB_ENTRIES" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("blobs,name", [
-        (["--blobs-spread", "nan"], "spread"), (["--blobs-spread", "-1"], "spread"),
-        (["--blobs-separation", "inf"], "separation")],
-        ids=["spread_nan", "spread_negative", "separation_inf"])
+    @pytest.mark.parametrize("blobs,rule", [
+        (["--blobs-spread", "nan"], "spread must be finite"),
+        (["--blobs-spread", "-1"], "spread must be finite"),
+        (["--blobs-separation", "inf"], "separation must be finite"),
+        (["--blobs-seed", "-1"], "seed must be at least 0, got -1")],
+        ids=["spread_nan", "spread_negative", "separation_inf", "seed_negative"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_bad_blobs_value_named(self, tmp_path, capsys, blobs, name):
+    def test_bad_blobs_value_named(self, tmp_path, capsys, blobs, rule):
         model = network.init_model(3, [5, 2], make_orthoplex(4), seed=0)
         path = tmp_path / "ckpt.json"
         network.save_checkpoint(model, path)
@@ -556,7 +569,7 @@ class TestEval:
                     "--blobs-dim", "3", *blobs,
                     "--out", str(tmp_path / "report.json")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {name} must be finite") and err.count("\n") == 1
+        assert err.startswith(f"error: {rule}") and err.count("\n") == 1
         assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")

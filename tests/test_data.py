@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from polyhead import data
 from polyhead.data import (EmptyDatasetError, IdxFormatError, LabeledBatch,
                            batches, load_idx, make_blobs, write_idx)
+from polyhead.polytope import ClassCountError
 
 
 def write_pair(tmp_path, images, labels, image_magic=0x00000803,
@@ -113,8 +115,8 @@ class TestLoadIdx:
 
 def loop_blobs(num_classes, dim, per_class, spread, separation, seed):
     """The per-class loop make_blobs used to run, one draw per class."""
-    from polyhead.polytope import make_simplex
-    directions = make_simplex(num_classes).rows
+    from test_polytope import simplex_reference
+    directions = simplex_reference(num_classes)
     means = np.zeros((num_classes, dim))
     width = min(dim, directions.shape[1])
     means[:, :width] = separation * directions[:, :width]
@@ -165,7 +167,7 @@ class TestMakeBlobs:
                                                        dim, per_class):
         def no_arrays(*args):  # the first array make_blobs builds
             raise AssertionError("an array was built")
-        monkeypatch.setattr(data, "make_simplex", no_arrays)
+        monkeypatch.setattr(data, "simplex_rows", no_arrays)
         with pytest.raises(ValueError, match="MAX_BLOB_ENTRIES"):
             make_blobs(classes, dim, per_class, 1.0, 6.0, seed=0)
 
@@ -176,6 +178,28 @@ class TestMakeBlobs:
     def test_bad_spread_or_separation_named(self, spread, separation, name):
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             make_blobs(3, 2, 5, spread, separation, seed=0)
+
+    def test_more_classes_than_the_largest_simplex_refused(self):
+        # the means need two columns, but simplex_rows computes whole rows
+        with pytest.raises(ClassCountError, match="4097x4096 matrix"):
+            make_blobs(4097, 2, 1, 1.0, 6.0, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, -3, -2 ** 63])
+    def test_negative_seed_named(self, seed):
+        with pytest.raises(ValueError, match=f"^seed must be at least 0, got {seed}$"):
+            make_blobs(3, 2, 5, 1.0, 6.0, seed)
+
+    def test_k1000_means_never_build_the_simplex(self):
+        # numpy reports its buffers to tracemalloc, so the bound is exact; the
+        # whole 1000 x 999 simplex alone would be 8 MB
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            make_blobs(1000, 32, 10, 1.0, 6.0, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 1000 * 10 * 32 * 8
 
     def test_zero_spread_puts_samples_on_their_means(self):
         from polyhead.polytope import make_simplex

@@ -10,9 +10,22 @@ from hypothesis import given, settings, strategies as st
 from polyhead import polytope
 from polyhead.polytope import (ClassCountError, ClassifierWeights, PolytopeKind,
                                embedding_dim, expected_angle, make_cube,
-                               make_orthoplex, make_simplex, verify_geometry)
+                               make_orthoplex, make_simplex, simplex_rows,
+                               verify_geometry)
 
 ALL_KINDS = list(PolytopeKind)
+
+
+def simplex_reference(K, dim=None):
+    """The simplex maker's earlier construction, the reference for
+    ``simplex_rows``: the whole (d+1) x d matrix of the d basis vectors and
+    alpha * sum(e_i), centroid-shifted and unit-normalized at once."""
+    dim = K - 1 if dim is None else dim
+    alpha = (1.0 - math.sqrt(dim + 1.0)) / dim
+    verts = np.vstack([np.eye(dim), alpha * np.ones((1, dim))])
+    verts -= verts.mean(axis=0)
+    verts /= np.linalg.norm(verts, axis=1, keepdims=True)
+    return verts[:K]
 
 
 class TestEmbeddingDim:
@@ -103,6 +116,37 @@ class TestSimplex:
         d = K - 1
         expected = (1.0 + 1.0 / d) * np.eye(K) - (1.0 / d) * np.ones((K, K))
         assert np.allclose(w.rows @ w.rows.T, expected, atol=1e-10)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestSimplexRows:
+    # K on both sides of the first block edges, at and past the benchmark's 1000
+    @pytest.mark.parametrize("K", [*range(2, 34), 127, 128, 129, 255, 256, 257,
+                                   383, 384, 385, 511, 512, 513, 999, 1000, 1001, 4096])
+    def test_matches_reference_bitwise(self, K):
+        assert polytope.SIMPLEX_BLOCK_ROWS == 128
+        for dim in sorted({K - 1, K, K + 5, 2 * K}):
+            if (dim + 1) * dim > polytope.MAX_HEAD_ENTRIES:
+                continue
+            expected = simplex_reference(K, dim)
+            assert same_bits(make_simplex(K, dim).rows, expected)
+            for columns in {1, 2, 10, 32, dim} & set(range(1, dim + 1)):
+                assert same_bits(simplex_rows(K, dim, columns), expected[:, :columns])
+
+    def test_simplex_1000_holds_its_rows_and_one_block(self):
+        # numpy reports its buffers to tracemalloc, so the bound is exact; the
+        # whole-matrix construction held two (d+1) x d arrays at its peak
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            make_simplex(1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 1000 * 999 * 8
 
 
 class TestOrthoplex:

@@ -5,15 +5,18 @@ other on the same seed, for ``--pairs`` seeds, and swaps which tree runs first
 in every other pair so that a slow drift of the host does not favour one side.
 For every end-to-end metric of the change's ``BENCHMARK.json`` it then prints
 each side's median and interquartile range over the pairs, the change's median
-relative to the parent's, and the number of pairs that the change won::
+relative to the parent's, the number of pairs that the change won, and a
+verdict::
 
     mkdir /tmp/parent && git archive HEAD~1 | tar -x -C /tmp/parent
     python tools/bench_pairs.py --parent /tmp/parent --change . \\
         --workload many_class_train --pairs 5 --seconds 50
 
-A change has shown a gain on a metric when it won nearly every pair and its
-median moved by more than the parent's IQR.  The per-run results follow as one
-JSON line.  The exit code is 1 when a run reported a failed command, and 2
+The verdict is ``gain`` when the change won at least 9 of every 10 pairs and
+its median moved by more than the parent's IQR, ``worse`` when its median is
+worse than the parent's by more than the metric's ``bound`` (a share of the
+parent's median), and ``-`` otherwise.  The per-run results follow as one JSON
+line.  The exit code is 1 when a run reported a failed command, and 2
 when a run did not finish.
 """
 
@@ -47,6 +50,17 @@ def iqr(values: list) -> float:
         return 0.0
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q3 - q1
+
+
+def verdict(metric: dict, parent: list, change: list, won: int) -> str:
+    """``gain``, ``worse`` or ``-`` for one metric's runs, as the module says."""
+    sign = 1.0 if metric["better"] == "higher" else -1.0
+    before, after = statistics.median(parent), statistics.median(change)
+    if 10 * won >= 9 * len(parent) and sign * (after - before) > iqr(parent):
+        return "gain"
+    if sign * (before - after) > metric["bound"] * abs(before):
+        return "worse"
+    return "-"
 
 
 def main(argv=None) -> int:
@@ -86,7 +100,7 @@ def main(argv=None) -> int:
 
     print(f"{args.workload}: {args.pairs} pairs of {args.seconds:g} s, size {args.size}")
     print(f"{'metric':<22}{'parent':>14}{'IQR':>12}{'change':>14}{'IQR':>12}"
-          f"{'rel':>9}{'won':>7}")
+          f"{'rel':>9}{'won':>7}{'verdict':>9}")
     for metric in spec["end_to_end"]:
         name, higher = metric["name"], metric["better"] == "higher"
         values = {side: [r["metrics"][name]["value"] for r in runs[side]]
@@ -98,7 +112,8 @@ def main(argv=None) -> int:
                     if medians["parent"] else "n/a")
         print(f"{name:<22}{medians['parent']:>14.6g}{iqr(values['parent']):>12.3g}"
               f"{medians['change']:>14.6g}{iqr(values['change']):>12.3g}"
-              f"{relative:>9}{f'{won}/{args.pairs}':>7}")
+              f"{relative:>9}{f'{won}/{args.pairs}':>7}"
+              f"{verdict(metric, values['parent'], values['change'], won):>9}")
     print(json.dumps(runs))
     return 0 if all(r["correct"] for side in SIDES for r in runs[side]) else 1
 
