@@ -15,6 +15,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from pathlib import Path
 from typing import Optional
 
@@ -28,7 +29,7 @@ MAX_HEAD_ENTRIES = 1 << 24
 SIMPLEX_BLOCK_ROWS = 128
 # json_field's word for each JSON kind, keyed by the type json.load gives it
 _JSON_KINDS = {int: "integer", float: "number in float range", bool: "true/false",
-               str: "string", dict: "object"}
+               str: "string", dict: "object", list: "list"}
 
 
 class PolytopeKind(Enum):
@@ -303,10 +304,25 @@ def json_field(payload, key, kind: type = int, name: str = "", items: type = int
     return value
 
 
+def _number_grid(payload: dict) -> list:
+    """``payload["rows"]`` if it is a JSON list of lists of one length whose
+    entries are all numbers; otherwise raises StructuralError naming rows."""
+    rows = json_field(payload, "rows", list, items=list)
+    lengths = set(map(len, rows))
+    if len(lengths) > 1:
+        raise StructuralError(f"rows must be lists of one length, got lengths "
+                              f"{min(lengths)} to {max(lengths)}")
+    if not set(map(type, chain.from_iterable(rows))) <= {int, float}:
+        bad = next(v for v in chain.from_iterable(rows) if type(v) not in (int, float))
+        raise StructuralError(f"rows must hold only JSON numbers, got {bad!r:.40}")
+    return rows
+
+
 def from_dict(payload: dict) -> ClassifierWeights:
     """The head a JSON payload describes, its rows checked against the header."""
     kind = PolytopeKind(json_field(payload, "kind", str))
-    rows = check_rows(payload["rows"], (json_field(payload, "K"), json_field(payload, "d")))
+    rows = check_rows(_number_grid(payload),
+                      (json_field(payload, "K"), json_field(payload, "d")))
     return ClassifierWeights(kind, rows, json_field(payload, "phi", float))
 
 

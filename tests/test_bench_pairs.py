@@ -28,6 +28,7 @@ def test_one_tiny_pair_of_the_same_tree(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
     lines = proc.stdout.splitlines()
+    assert lines[0] == "many_class_train: 1 pairs of 0.2 s, seeds 1-1, size tiny"
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     names = [m["name"] for m in spec["end_to_end"]]
     rows = [re.match(r"^(\S+)\s+(\S+)\s+0\s+(\S+)\s+0\s+(\S+)\s+([01])/1\s+(gain|worse|-)$",

@@ -1,3 +1,4 @@
+import base64
 import json
 import math
 import re
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from polyhead import cli, data, network
-from polyhead.polytope import load_json, make_orthoplex, make_simplex, to_dict
+from polyhead.polytope import (PolytopeKind, load_json, make_orthoplex, make_simplex,
+                               make_weights, to_dict)
 
 
 def run(args):
@@ -148,7 +150,17 @@ class TestCheck:
          f"phi must be a JSON number in float range, got {str(10 ** 320)[:40]}"),
         (lambda p: p.update(kind=5), "kind must be a JSON string, got 5"),
         (lambda p: [1, 2], "head file must be a JSON object, got [1, 2]"),
-    ], ids=["phi_beyond_float", "kind_int", "list_document"])
+        (lambda p: p["rows"][1].__setitem__(0, "-1.0"),
+         "rows must hold only JSON numbers, got '-1.0'"),
+        (lambda p: p["rows"][1].__setitem__(0, True), "rows must hold only JSON numbers, got True"),
+        (lambda p: p["rows"][1].__setitem__(0, [0.5]),
+         "rows must hold only JSON numbers, got [0.5]"),
+        (lambda p: p["rows"][1].__delitem__(0),
+         "rows must be lists of one length, got lengths 1 to 2"),
+        (lambda p: p.update(rows=[1.0, -1.0]),
+         "rows must be a JSON list of lists, got [1.0, -1.0]"),
+    ], ids=["phi_beyond_float", "kind_int", "list_document", "row_entry_string",
+            "row_entry_bool", "row_entry_list", "ragged_rows", "rows_1d"])
     def test_header_value_named(self, tmp_path, capsys, edit, message):
         out = tmp_path / "w.json"
         run(["gen-weights", "--kind", "simplex", "--classes", "3", "--out", str(out)])
@@ -512,6 +524,25 @@ class TestReadme:
                 assert json.loads(default.strip("`")) == value
 
 
+def encoded(values) -> dict:
+    """A checkpoint's entry for an array: its shape and the padded base64 of
+    its float64 values, little-endian, in C order."""
+    array = np.asarray(values, dtype="<f8")
+    return {"shape": list(array.shape), "base64": base64.b64encode(array.tobytes()).decode()}
+
+
+def edited(entry, change) -> dict:
+    """The array of a checkpoint ``entry`` passed through ``change`` (which
+    returns the new array) and encoded again."""
+    array = np.frombuffer(base64.b64decode(entry["base64"]), "<f8").reshape(entry["shape"])
+    return encoded(change(array.copy()))
+
+
+def first_entry(value):
+    """A ``change`` for ``edited``: sets the array's first entry to ``value``."""
+    return lambda array: np.put(array, 0, value) or array
+
+
 class TestEval:
     def test_eval_training_blobs(self, tmp_path, capsys):
         path, config = blob_config(tmp_path)
@@ -615,21 +646,24 @@ class TestEval:
     # score the 2-class blobs, so it gets data whose labels are all 0
     @pytest.mark.parametrize("edit,zero_labels", [
         pytest.param(lambda p: p["head"].update(type="trainable",
-                                                rows=[[1.0, 0.0, 0.0]] * 4),
+                                                rows=encoded([[1.0, 0.0, 0.0]] * 4)),
                      False, id="trainable_rows_too_wide"),
-        pytest.param(lambda p: p["head"].update(type="trainable", rows=[1.0, 0.0]),
+        pytest.param(lambda p: p["head"].update(type="trainable", rows=encoded([1.0, 0.0])),
                      False, id="trainable_rows_1d"),
         pytest.param(lambda p: p["head"].update(weights=to_dict(make_simplex(5))),
                      False, id="fixed_head_other_d"),
-        pytest.param(lambda p: p["layers"][0].update(b=p["layers"][0]["b"][:-1]),
+        pytest.param(lambda p: p["layers"][0].update(
+                         b=edited(p["layers"][0]["b"], lambda b: b[:-1])),
                      False, id="b_shorter_than_w"),
         pytest.param(lambda p: p["layers"][0].update(
-                         w=[r + [0.0] for r in p["layers"][0]["w"]]),
+                         w=edited(p["layers"][0]["w"],
+                                  lambda w: np.hstack([w, np.zeros((len(w), 1))]))),
                      False, id="w_wider_than_input_dim"),
-        pytest.param(lambda p: p["layers"][1]["w"][0].__setitem__(0, math.nan),
+        pytest.param(lambda p: p["layers"][1].update(
+                         w=edited(p["layers"][1]["w"], first_entry(math.nan))),
                      False, id="nan_weight"),
         pytest.param(lambda p: p["head"].update(type="trainable",
-                                                rows=[[1.0, 0.0], [0.0, 0.0]]),
+                                                rows=encoded([[1.0, 0.0], [0.0, 0.0]])),
                      False, id="zero_trainable_row"),
         pytest.param(lambda p: p.update(input_dim=math.inf),
                      False, id="infinite_input_dim"),
@@ -639,9 +673,10 @@ class TestEval:
                      False, id="fixed_head_float_d"),
         pytest.param(lambda p: p["head"]["weights"].update(phi=str(math.pi / 2)),
                      False, id="fixed_head_string_phi"),
-        pytest.param(lambda p: p["layers"][0]["w"][0].__setitem__(0, 1e308),
+        pytest.param(lambda p: p["layers"][0].update(
+                         w=edited(p["layers"][0]["w"], first_entry(1e308))),
                      False, id="overflowing_weight"),
-        pytest.param(lambda p: p["head"].update(type="trainable", rows=[[1.0, 0.0]]),
+        pytest.param(lambda p: p["head"].update(type="trainable", rows=encoded([[1.0, 0.0]])),
                      True, id="one_trainable_row"),
         pytest.param(lambda p: p["head"].update(type="banana", rows=[[1.0, 0.0]] * 4),
                      False, id="unknown_head_type"),
@@ -668,17 +703,51 @@ class TestEval:
         (lambda p: p["head"].update(weights=[1]), "weights must be a JSON object, got [1]"),
         (lambda p: p["head"]["weights"].update(phi=10 ** 320),
          f"phi must be a JSON number in float range, got {str(10 ** 320)[:40]}"),
-        (lambda p: p["layers"][1]["w"][0].__setitem__(1, 10 ** 400),
-         "layer 1 w holds an integer beyond float range"),
-        (lambda p: p["head"].update(type="trainable", rows=[[1.0, 10 ** 400]] * 4),
-         "head rows hold an integer beyond float range"),
+        (lambda p: p["layers"][1].update(w=dict(encoded(np.zeros(9)), shape=[2, 5])),
+         "layer 1 w holds 72 bytes, shape [2, 5] needs 80"),
+        (lambda p: p["head"].update(type="trainable",
+                                    rows={"shape": [4, 2], "base64": "[[1.0, 0.0]]"}),
+         "head rows base64 must be padded base64 text, got '[[1.0, 0.0]]'"),
+        (lambda p: p["layers"][1].pop("b") and None, "layer 1 b must be a JSON object, got None"),
+        (lambda p: p["head"].update(type="trainable"),
+         "head rows must be a JSON object, got None"),
     ], ids=["layers_object", "head_list", "head_type_int", "weights_list",
             "fixed_head_phi_beyond_float",
-            "weight_beyond_float", "trainable_row_beyond_float"])
+            "weight_wrong_byte_count", "trainable_rows_not_base64", "missing_bias",
+            "missing_trainable_rows"])
     def test_malformed_value_named(self, tmp_path, capsys, edit, message):
         payload = network.model_to_dict(network.init_model(3, [5, 2], make_orthoplex(4),
                                                            seed=0))
         edit(payload)
+        path = tmp_path / "ckpt.json"
+        path.write_text(json.dumps(payload))
+        assert run(["eval", "--checkpoint", str(path), "--blobs-classes", "2",
+                    "--blobs-dim", "3"]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    # each refusal of the first array, layer 0 w of shape [5, 3]
+    @pytest.mark.parametrize("edit,message", [
+        (lambda w: np.eye(5, 3).tolist(),
+         f"layer 0 w must be a JSON object, got {np.eye(5, 3).tolist()!r:.40}"),
+        (lambda w: {"base64": w["base64"]},
+         "layer 0 w shape must be a JSON list of integers, got None"),
+        (lambda w: dict(w, shape=[5, 3.0]),
+         "layer 0 w shape must be a JSON list of integers, got [5, 3.0]"),
+        (lambda w: dict(w, shape=[15]), "layer 0 w shape must be 2 positive integers, got [15]"),
+        (lambda w: dict(w, shape=[-5, -3]),
+         "layer 0 w shape must be 2 positive integers, got [-5, -3]"),
+        (lambda w: dict(w, shape=[2 ** 12, 2 ** 12 + 1]),
+         f"layer 0 w shape [4096, 4097] holds more than {network.MAX_MODEL_ENTRIES} entries"),
+        (lambda w: dict(w, base64="0.1, 0.2"),
+         "layer 0 w base64 must be padded base64 text, got '0.1, 0.2'"),
+        (lambda w: dict(w, shape=[5, 2]), "layer 0 w holds 120 bytes, shape [5, 2] needs 80"),
+        (lambda w: edited(w, first_entry(math.inf)), "non-finite value in layer 0 w"),
+    ], ids=["text_array", "missing_shape", "float_in_shape", "wrong_ndim", "negative_shape",
+            "too_many_entries", "not_base64", "wrong_byte_count", "infinite_weight"])
+    def test_checkpoint_array_named(self, tmp_path, capsys, edit, message):
+        payload = network.model_to_dict(network.init_model(3, [5, 2], make_orthoplex(4),
+                                                           seed=0))
+        payload["layers"][0]["w"] = edit(payload["layers"][0]["w"])
         path = tmp_path / "ckpt.json"
         path.write_text(json.dumps(payload))
         assert run(["eval", "--checkpoint", str(path), "--blobs-classes", "2",
@@ -704,8 +773,10 @@ class TestEval:
             "", "error: provide --images/--labels or --blobs-* options\n")
 
 
-# messages of a raw lookup or float conversion, which name no key
-UNNAMED = re.compile("int too large to convert|indices must be integers|string indices")
+# messages of a raw lookup, a float conversion, numpy's array building or
+# base64 decoding, which name no key
+UNNAMED = re.compile("int too large to convert|indices must be integers|string indices|"
+                     "inhomogeneous|could not convert|padding|Only base64|Invalid base64")
 # 10**9 is a huge count or width, 10**400 one beyond every float
 JUNK = st.one_of(st.text(max_size=3), st.booleans(), st.none(), st.floats(),
                  st.integers(-3, 3), st.sampled_from([10 ** 9, 10 ** 400]),
@@ -753,6 +824,25 @@ class TestEvalFuzz:
                     "--out", str(tmp_path / "report.json")])
         err = capsys.readouterr().err
         assert code in (0, 2)
+        assert not (code == 2 and UNNAMED.search(err))
+
+
+class TestCheckFuzz:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_perturbed_head_file_exits_0_1_or_2(self, tmp_path, capsys, data):
+        payload = to_dict(make_weights(data.draw(st.sampled_from(list(PolytopeKind))),
+                                       data.draw(st.integers(2, 6))))
+        for _ in range(data.draw(st.integers(1, 3))):
+            payload = perturb(payload, data)
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(payload))
+        code = run(["check", "--weights", str(path)])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2)
+        assert err == "" if code != 2 else (err.startswith("error: ")
+                                            and err.count("\n") == 1)
         assert not (code == 2 and UNNAMED.search(err))
 
 

@@ -536,9 +536,36 @@ class TestCheckpoint:
         assert len(parameters(again)) == len(parameters(model))
         for got, want in zip(parameters(again), parameters(model)):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert got.flags.writeable
         if not trainable:
             assert same_header(again.head, weights)
             assert not again.head.rows.flags.writeable
+
+    def test_paper_shape_checkpoint_size(self, tmp_path):
+        # 784 -> 256 -> 9 on the simplex-10 head: 4.46 MB as float text
+        model = init_model(784, [256, 9], make_simplex(10), seed=1)
+        network.save_checkpoint(model, tmp_path / "ckpt.json")
+        assert (tmp_path / "ckpt.json").stat().st_size <= 2.3e6
+
+    @pytest.mark.parametrize("array,shape,bound", [
+        ("w", [2 ** 12, 2 ** 12 + 1], network.MAX_MODEL_ENTRIES),
+        ("w", [10 ** 400, 1], network.MAX_MODEL_ENTRIES),
+        ("rows", [10 ** 9, 10 ** 9], polytope.MAX_HEAD_ENTRIES)],
+        ids=["layer_just_over", "layer_beyond_float", "trainable_rows"])
+    def test_too_many_entries_refused_before_decoding(self, monkeypatch, array, shape,
+                                                      bound):
+        payload = network.model_to_dict(init_model(2, [2], make_orthoplex(4), seed=74,
+                                                   trainable=True))
+        if array == "rows":  # no layer to decode first
+            payload.update(input_dim=2, layers=[])
+        entry = payload["layers"][0]["w"] if array == "w" else payload["head"]["rows"]
+        entry["shape"] = shape
+
+        def no_decoding(*args, **kwargs):
+            raise AssertionError("base64 was decoded")
+        monkeypatch.setattr(network.base64, "b64decode", no_decoding)
+        with pytest.raises(polytope.StructuralError, match=f"more than {bound} entries$"):
+            network.model_from_dict(payload)
 
 
 class TestHeadRows:

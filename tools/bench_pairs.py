@@ -98,7 +98,8 @@ def main(argv=None) -> int:
                   f"{result['failed']} of {result['attempted']} commands failed",
                   file=sys.stderr)
 
-    print(f"{args.workload}: {args.pairs} pairs of {args.seconds:g} s, size {args.size}")
+    print(f"{args.workload}: {args.pairs} pairs of {args.seconds:g} s, seeds "
+          f"{args.first_seed}-{args.first_seed + args.pairs - 1}, size {args.size}")
     print(f"{'metric':<22}{'parent':>14}{'IQR':>12}{'change':>14}{'IQR':>12}"
           f"{'rel':>9}{'won':>7}{'verdict':>9}")
     for metric in spec["end_to_end"]:
