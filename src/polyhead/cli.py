@@ -220,9 +220,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if args.images and not args.labels:
-        raise ConfigError("--images needs --labels")
-    if not (args.images or args.blobs_classes):
+    if bool(args.images) != bool(args.labels):
+        raise ConfigError("--images needs --labels" if args.images
+                          else "--labels needs --images")
+    if not args.images and args.blobs_classes is None:
         raise ConfigError("provide --images/--labels or --blobs-* options")
     with _reading():
         model = network.load_checkpoint(args.checkpoint)

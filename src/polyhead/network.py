@@ -8,7 +8,6 @@ rows are updated like any other parameter.
 
 from __future__ import annotations
 
-import base64
 import json
 import math
 from dataclasses import dataclass, field
@@ -20,8 +19,8 @@ import numpy as np
 from . import losses
 from .data import LabeledBatch, batches
 from .polytope import (MAX_HEAD_ENTRIES, ClassifierWeights, StructuralError, check_rows,
-                       json_field, from_dict as weights_from_dict,
-                       to_dict as weights_to_dict)
+                       decode_array, encode_array, json_field,
+                       from_dict as weights_from_dict, to_dict as weights_to_dict)
 
 PRELU_SLOPE_INIT = 0.25
 ADAM_BETA1 = 0.9
@@ -240,69 +239,32 @@ def train(model: MlpModel, data: LabeledBatch, config: TrainConfig):
     return model, log
 
 
-def _encode_array(array: np.ndarray) -> dict:
-    """A checkpoint's entry for a parameter array: its shape and the padded
-    base64 of its float64 values, little-endian, in C order."""
-    raw = np.asarray(array, dtype="<f8").tobytes()
-    return {"shape": list(array.shape), "base64": base64.b64encode(raw).decode("ascii")}
-
-
-def _decode_array(entry, ndim: int, max_entries: int, what: str) -> np.ndarray:
-    """The writable float64 array of an ``_encode_array`` entry.  Raises
-    StructuralError naming ``what`` unless the entry is an object with a
-    ``shape`` of ``ndim`` positive integers holding at most ``max_entries``
-    entries (checked before decoding) and a ``base64`` string of exactly
-    that many finite values."""
-    json_field(entry, None, dict, what)
-    shape = json_field(entry.get("shape"), None, list, f"{what} shape")
-    text = json_field(entry.get("base64"), None, str, f"{what} base64")
-    if len(shape) != ndim or min(shape) < 1:  # no model has an empty array
-        raise StructuralError(f"{what} shape must be {ndim} positive integers, "
-                              f"got {shape!r:.40}")
-    count = math.prod(shape)
-    if count > max_entries:
-        raise StructuralError(f"{what} shape {shape!r:.40} holds more than "
-                              f"{max_entries} entries")
-    try:
-        raw = base64.b64decode(text, validate=True)
-    except ValueError:  # binascii.Error, or a character beyond ASCII
-        raise StructuralError(f"{what} base64 must be padded base64 text, "
-                              f"got {text!r:.40}") from None
-    if len(raw) != 8 * count:
-        raise StructuralError(f"{what} holds {len(raw)} bytes, shape {shape} "
-                              f"needs {8 * count}")
-    array = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
-    if not np.isfinite(array).all():
-        raise StructuralError(f"non-finite value in {what}")
-    return array
-
-
 def model_to_dict(model: MlpModel) -> dict:
-    """A checkpoint's payload: each parameter array through ``_encode_array``;
+    """A checkpoint's payload: each parameter array through ``encode_array``;
     a fixed head as its head file's dict."""
     h = model.head
     if h.trainable:
-        head = {"type": "trainable", "rows": _encode_array(h.rows)}
+        head = {"type": "trainable", "rows": encode_array(h.rows)}
     else:
         head = {"type": "fixed", "weights": weights_to_dict(h)}
     return {
         "input_dim": model.input_dim,
-        "layers": [{"w": _encode_array(layer.w), "b": _encode_array(layer.b),
-                    "slope": _encode_array(layer.slope)} for layer in model.layers],
+        "layers": [{"w": encode_array(layer.w), "b": encode_array(layer.b),
+                    "slope": encode_array(layer.slope)} for layer in model.layers],
         "head": head,
     }
 
 
 def model_from_dict(payload: dict) -> MlpModel:
     """The model a checkpoint describes.  Raises StructuralError unless its keys
-    are of their JSON kinds, every parameter array passes ``_decode_array``, the
+    are of their JSON kinds, every parameter array passes ``decode_array``, the
     head type is "fixed" or "trainable" and the widths chain from ``input_dim``
     through each layer's ``w``, ``b`` and ``slope`` to the head's d."""
     input_dim = width = json_field(payload, "input_dim")
     layers = []
     for i, entry in enumerate(json_field(payload, "layers", list, items=dict)):
-        w, b, slope = (_decode_array(entry.get(key), ndim, MAX_MODEL_ENTRIES,
-                                     f"layer {i} {key}")
+        w, b, slope = (decode_array(entry.get(key), ndim, MAX_MODEL_ENTRIES,
+                                    f"layer {i} {key}")
                        for key, ndim in (("w", 2), ("b", 1), ("slope", 1)))
         if w.shape[1] != width or not b.shape == slope.shape == (w.shape[0],):
             raise StructuralError(f"layer {i} takes {width} inputs but has w "
@@ -314,7 +276,7 @@ def model_from_dict(payload: dict) -> MlpModel:
     if head_type == "fixed":
         head = weights_from_dict(json_field(head_payload, "weights", dict))
     elif head_type == "trainable":
-        rows = _decode_array(head_payload.get("rows"), 2, MAX_HEAD_ENTRIES, "head rows")
+        rows = decode_array(head_payload.get("rows"), 2, MAX_HEAD_ENTRIES, "head rows")
         head = ClassifierWeights(None, check_rows(rows), math.nan, True)
         losses.unit_rows(head)  # a zero row has no direction to score against
     else:

@@ -10,12 +10,12 @@ additive angular margin.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
 from pathlib import Path
 from typing import Optional
 
@@ -203,10 +203,7 @@ def make_weights(kind: PolytopeKind, num_classes: int) -> ClassifierWeights:
 def check_rows(values, shape: Optional[tuple] = None) -> np.ndarray:
     """``values`` as float64 head rows.  Raises StructuralError unless they
     are a finite 2-D array with at least 2 rows, of ``shape`` when given."""
-    try:
-        rows = np.asarray(values, dtype=np.float64)
-    except OverflowError:  # an integer beyond float range
-        raise StructuralError("head rows hold an integer beyond float range") from None
+    rows = np.asarray(values, dtype=np.float64)
     if not (rows.ndim == 2 and rows.shape[0] >= 2 and rows.shape == (shape or rows.shape)
             and np.all(np.isfinite(rows))):
         raise StructuralError(f"head rows must be finite, at least 2 and of shape "
@@ -281,15 +278,6 @@ def verify_geometry(weights: ClassifierWeights, tol: float = DEFAULT_TOL) -> Geo
     return GeometryCheck(True, worst, min_angle)
 
 
-def _header(weights: ClassifierWeights) -> dict:
-    return {"kind": weights.kind.value, "K": weights.num_classes, "d": weights.dim,
-            "phi": weights.phi}
-
-
-def to_dict(weights: ClassifierWeights) -> dict:
-    return dict(_header(weights), rows=weights.rows.tolist())
-
-
 def json_field(payload, key, kind: type = int, name: str = "", items: type = int):
     """``payload[key]`` (``payload`` when ``key`` is None) if it is a JSON integer
     (``kind`` int), number (float, returned as a float: NaN and Infinity are one,
@@ -304,54 +292,60 @@ def json_field(payload, key, kind: type = int, name: str = "", items: type = int
     return value
 
 
-def _number_grid(payload: dict) -> list:
-    """``payload["rows"]`` if it is a JSON list of lists of one length whose
-    entries are all numbers; otherwise raises StructuralError naming rows."""
-    rows = json_field(payload, "rows", list, items=list)
-    lengths = set(map(len, rows))
-    if len(lengths) > 1:
-        raise StructuralError(f"rows must be lists of one length, got lengths "
-                              f"{min(lengths)} to {max(lengths)}")
-    if not set(map(type, chain.from_iterable(rows))) <= {int, float}:
-        bad = next(v for v in chain.from_iterable(rows) if type(v) not in (int, float))
-        raise StructuralError(f"rows must hold only JSON numbers, got {bad!r:.40}")
-    return rows
+def encode_array(array: np.ndarray) -> dict:
+    """The stored entry of a float64 array: its shape and the padded base64
+    of its values, little-endian, in C order."""
+    raw = np.asarray(array, dtype="<f8").tobytes()
+    return {"shape": list(array.shape), "base64": base64.b64encode(raw).decode("ascii")}
+
+
+def decode_array(entry, ndim: int, max_entries: int, what: str) -> np.ndarray:
+    """The writable float64 array of an ``encode_array`` entry.  Raises
+    StructuralError naming ``what`` unless the entry is an object with a
+    ``shape`` of ``ndim`` positive integers holding at most ``max_entries``
+    entries (checked before decoding) and a ``base64`` string of exactly
+    that many finite values."""
+    json_field(entry, None, dict, what)
+    shape = json_field(entry.get("shape"), None, list, f"{what} shape")
+    text = json_field(entry.get("base64"), None, str, f"{what} base64")
+    if len(shape) != ndim or min(shape) < 1:  # no stored array is empty
+        raise StructuralError(f"{what} shape must be {ndim} positive integers, "
+                              f"got {shape!r:.40}")
+    count = math.prod(shape)
+    if count > max_entries:
+        raise StructuralError(f"{what} shape {shape!r:.40} holds more than "
+                              f"{max_entries} entries")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError:  # binascii.Error, or a character beyond ASCII
+        raise StructuralError(f"{what} base64 must be padded base64 text, "
+                              f"got {text!r:.40}") from None
+    if len(raw) != 8 * count:
+        raise StructuralError(f"{what} holds {len(raw)} bytes, shape {shape} "
+                              f"needs {8 * count}")
+    array = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+    if not np.isfinite(array).all():
+        raise StructuralError(f"non-finite value in {what}")
+    return array
+
+
+def to_dict(weights: ClassifierWeights) -> dict:
+    """A head file's payload: the header and the rows through ``encode_array``."""
+    return {"kind": weights.kind.value, "K": weights.num_classes, "d": weights.dim,
+            "phi": weights.phi, "rows": encode_array(weights.rows)}
 
 
 def from_dict(payload: dict) -> ClassifierWeights:
     """The head a JSON payload describes, its rows checked against the header."""
     kind = PolytopeKind(json_field(payload, "kind", str))
-    rows = check_rows(_number_grid(payload),
+    rows = check_rows(decode_array(payload.get("rows"), 2, MAX_HEAD_ENTRIES, "rows"),
                       (json_field(payload, "K"), json_field(payload, "d")))
     return ClassifierWeights(kind, rows, json_field(payload, "phi", float))
 
 
-def _rows_text(rows: np.ndarray) -> str:
-    """``json.dumps(rows.tolist())`` for 2-D rows, built from the encoder's
-    text of each distinct entry.  Entries are told apart by their bits, so
-    0.0 and -0.0 keep their own words, and the words are the encoder's
-    (``NaN``, ``Infinity``), not ``repr``'s."""
-    rows = np.asarray(rows, dtype=np.float64)
-    bits, inverse = np.unique(rows.view(np.int64), return_inverse=True)
-    words = json.dumps(bits.view(np.float64).tolist())[1:-1].split(", ")
-    grid = np.array(words, dtype=object)[inverse.reshape(rows.shape)].tolist()
-    return "[" + ", ".join(["[" + ", ".join(row) + "]" for row in grid]) + "]"
-
-
 def save_json(weights: ClassifierWeights, path) -> None:
-    """Write the bytes of ``json.dumps(to_dict(weights))`` in one write.
-
-    A polytope's coordinates take a few distinct values (+-1/sqrt(d) for the
-    cube, 0 and +-1 for the orthoplex, 5 for the simplex at K of 10, 47
-    and 1000), so the rows are written from the encoder's text of each
-    distinct value, told apart by bit pattern, instead of one float repr per
-    entry.  In-process on a 2-vCPU Xeon, a K=1000 cube file takes about
-    1.3 ms instead of 10.6 ms, and a K=1000 simplex file 0.17 s instead of
-    1.17 s.
-    """
     # json.dumps, unlike json.dump, runs the C encoder
-    header = json.dumps(_header(weights))
-    Path(path).write_text(f'{header[:-1]}, "rows": {_rows_text(weights.rows)}}}')
+    Path(path).write_text(json.dumps(to_dict(weights)))
 
 
 def load_json(path) -> ClassifierWeights:

@@ -18,6 +18,29 @@ def run(args):
     return cli.main(args)
 
 
+def decoded(entry) -> np.ndarray:
+    """The writable array of a stored ``{"shape", "base64"}`` entry."""
+    return np.frombuffer(base64.b64decode(entry["base64"]), "<f8").reshape(entry["shape"]).copy()
+
+
+def encoded(values) -> dict:
+    """The stored entry of an array, in a head file or a checkpoint: its shape
+    and the padded base64 of its float64 values, little-endian, in C order."""
+    array = np.asarray(values, dtype="<f8")
+    return {"shape": list(array.shape), "base64": base64.b64encode(array.tobytes()).decode()}
+
+
+def edited(entry, change) -> dict:
+    """The array of a stored ``entry`` passed through ``change`` (which
+    returns the new array) and encoded again."""
+    return encoded(change(decoded(entry)))
+
+
+def first_entry(value):
+    """A ``change`` for ``edited``: sets the array's first entry to ``value``."""
+    return lambda array: np.put(array, 0, value) or array
+
+
 class TestGenWeights:
     def test_cube_47(self, tmp_path, capsys):
         out = tmp_path / "w.json"
@@ -65,7 +88,9 @@ class TestCheck:
         run(["gen-weights", "--kind", "simplex", "--classes", "8",
              "--out", str(out)])
         payload = json.loads(out.read_text())
-        payload["rows"][0][0] += 0.01
+        rows = decoded(payload["rows"])
+        rows[0][0] += 0.01
+        payload["rows"] = encoded(rows)
         out.write_text(json.dumps(payload))
         assert run(["check", "--weights", str(out)]) == 1
         assert "FAIL" in capsys.readouterr().out
@@ -79,7 +104,7 @@ class TestCheck:
         rows = [[1.0, 0.0, 0.0], [-0.5, math.sqrt(3) / 2, 0.0],
                 [-0.5, -math.sqrt(3) / 2, 0.0]]
         out.write_text(json.dumps({"kind": "cube", "K": 3, "d": 3,
-                                   "phi": 2 * math.pi / 3, "rows": rows}))
+                                   "phi": 2 * math.pi / 3, "rows": encoded(rows)}))
         assert run(["check", "--weights", str(out)]) == 1
         printed = capsys.readouterr().out
         assert "FAIL" in printed and "stored phi" in printed
@@ -100,7 +125,7 @@ class TestCheck:
         out = tmp_path / "w.json"
         out.write_text(json.dumps({"kind": "orthoplex", "K": 3, "d": 1,
                                    "phi": math.pi / 2,
-                                   "rows": [[1.0], [-1.0], [1.0]]}))
+                                   "rows": encoded([[1.0], [-1.0], [1.0]])}))
         assert run(["check", "--weights", str(out), "--tol", "4"]) == 1
         assert "vertices" in capsys.readouterr().out
 
@@ -111,6 +136,9 @@ class TestCheck:
              "--out", str(out)])
         assert run(["check", "--weights", str(out), f"--tol={tol}"]) == 2
 
+    # rows given as JSON lists, the layout before base64 entries, fail on
+    # their rows after the kind; test_header_value_named meets every check
+    # of a head file that holds base64 rows
     @pytest.mark.parametrize("text", [
         "{ not json", "[1, 2]", '{"kind": "cube", "K": 2, "d": 1}',
         '{"kind": "prism", "K": 2, "d": 1, "phi": 1.0, "rows": [[1.0], [-1.0]]}',
@@ -150,17 +178,35 @@ class TestCheck:
          f"phi must be a JSON number in float range, got {str(10 ** 320)[:40]}"),
         (lambda p: p.update(kind=5), "kind must be a JSON string, got 5"),
         (lambda p: [1, 2], "head file must be a JSON object, got [1, 2]"),
-        (lambda p: p["rows"][1].__setitem__(0, "-1.0"),
-         "rows must hold only JSON numbers, got '-1.0'"),
-        (lambda p: p["rows"][1].__setitem__(0, True), "rows must hold only JSON numbers, got True"),
-        (lambda p: p["rows"][1].__setitem__(0, [0.5]),
-         "rows must hold only JSON numbers, got [0.5]"),
-        (lambda p: p["rows"][1].__delitem__(0),
-         "rows must be lists of one length, got lengths 1 to 2"),
-        (lambda p: p.update(rows=[1.0, -1.0]),
-         "rows must be a JSON list of lists, got [1.0, -1.0]"),
+        (lambda p: p["rows"]["shape"].__setitem__(1, "2"),
+         "rows shape must be a JSON list of integers, got [3, '2']"),
+        (lambda p: p["rows"]["shape"].__setitem__(1, True),
+         "rows shape must be a JSON list of integers, got [3, True]"),
+        (lambda p: p["rows"]["shape"].__setitem__(1, [2]),
+         "rows shape must be a JSON list of integers, got [3, [2]]"),
+        (lambda p: p["rows"].update(shape=[3, 1]), "rows holds 48 bytes, shape [3, 1] needs 24"),
+        (lambda p: p["rows"].update(shape=[6]), "rows shape must be 2 positive integers, got [6]"),
+        (lambda p: p.update(d=True), "d must be a JSON integer, got True"),
+        (lambda p: p.update(phi="1.0"), "phi must be a JSON number in float range, got '1.0'"),
+        (lambda p: p.update(phi=True), "phi must be a JSON number in float range, got True"),
+        (lambda p: p.update(K=4),
+         "head rows must be finite, at least 2 and of shape (4, 2); got shape (3, 2)"),
+        (lambda p: p.update(d=3),
+         "head rows must be finite, at least 2 and of shape (3, 3); got shape (3, 2)"),
+        (lambda p: p.update(K=1, rows=edited(p["rows"], lambda rows: rows[:1])),
+         "head rows must be finite, at least 2 and of shape (1, 2); got shape (1, 2)"),
+        (lambda p: p.update(rows=edited(p["rows"], first_entry(math.nan))),
+         "non-finite value in rows"),
+        (lambda p: p["rows"].update(base64="[[1.0, 0.0]]"),
+         "rows base64 must be padded base64 text, got '[[1.0, 0.0]]'"),
+        (lambda p: p.pop("rows") and None, "rows must be a JSON object, got None"),
+        # the layout before base64 entries
+        (lambda p: p.update(rows=make_simplex(3).rows.tolist()),
+         f"rows must be a JSON object, got {make_simplex(3).rows.tolist()!r:.40}"),
     ], ids=["phi_beyond_float", "kind_int", "list_document", "row_entry_string",
-            "row_entry_bool", "row_entry_list", "ragged_rows", "rows_1d"])
+            "row_entry_bool", "row_entry_list", "ragged_rows", "rows_1d", "d_bool",
+            "phi_string", "phi_bool", "K_disagrees", "d_disagrees", "one_row", "nan_row",
+            "rows_not_base64", "rows_missing", "rows_old_layout"])
     def test_header_value_named(self, tmp_path, capsys, edit, message):
         out = tmp_path / "w.json"
         run(["gen-weights", "--kind", "simplex", "--classes", "3", "--out", str(out)])
@@ -232,7 +278,7 @@ class TestTrain:
         path, _ = blob_config(tmp_path, epochs=2)
         assert run(["train", "--config", str(path)]) == 0
         ckpt = json.loads((tmp_path / "run" / "checkpoint.json").read_text())
-        rows = np.asarray(ckpt["head"]["weights"]["rows"])
+        rows = decoded(ckpt["head"]["weights"]["rows"])
         assert np.array_equal(rows, make_simplex(4).rows)
 
     def test_unknown_config_key(self, tmp_path):
@@ -524,25 +570,6 @@ class TestReadme:
                 assert json.loads(default.strip("`")) == value
 
 
-def encoded(values) -> dict:
-    """A checkpoint's entry for an array: its shape and the padded base64 of
-    its float64 values, little-endian, in C order."""
-    array = np.asarray(values, dtype="<f8")
-    return {"shape": list(array.shape), "base64": base64.b64encode(array.tobytes()).decode()}
-
-
-def edited(entry, change) -> dict:
-    """The array of a checkpoint ``entry`` passed through ``change`` (which
-    returns the new array) and encoded again."""
-    array = np.frombuffer(base64.b64decode(entry["base64"]), "<f8").reshape(entry["shape"])
-    return encoded(change(array.copy()))
-
-
-def first_entry(value):
-    """A ``change`` for ``edited``: sets the array's first entry to ``value``."""
-    return lambda array: np.put(array, 0, value) or array
-
-
 class TestEval:
     def test_eval_training_blobs(self, tmp_path, capsys):
         path, config = blob_config(tmp_path)
@@ -711,10 +738,13 @@ class TestEval:
         (lambda p: p["layers"][1].pop("b") and None, "layer 1 b must be a JSON object, got None"),
         (lambda p: p["head"].update(type="trainable"),
          "head rows must be a JSON object, got None"),
+        # a fixed head in the layout before base64 entries
+        (lambda p: p["head"]["weights"].update(rows=make_orthoplex(4).rows.tolist()),
+         f"rows must be a JSON object, got {make_orthoplex(4).rows.tolist()!r:.40}"),
     ], ids=["layers_object", "head_list", "head_type_int", "weights_list",
             "fixed_head_phi_beyond_float",
             "weight_wrong_byte_count", "trainable_rows_not_base64", "missing_bias",
-            "missing_trainable_rows"])
+            "missing_trainable_rows", "fixed_head_rows_old_layout"])
     def test_malformed_value_named(self, tmp_path, capsys, edit, message):
         payload = network.model_to_dict(network.init_model(3, [5, 2], make_orthoplex(4),
                                                            seed=0))
@@ -762,6 +792,16 @@ class TestEval:
                     str(tmp_path / "run" / "checkpoint.json"),
                     "--images", str(tmp_path / "images")]) == 2
         assert capsys.readouterr() == ("", "error: --images needs --labels\n")
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--labels", "labels", "--blobs-classes", "2"], "--labels needs --images"),
+        (["--blobs-classes", "0"], "need at least 2 classes, got 0")],
+        ids=["labels_without_images", "zero_blob_classes"])
+    def test_dataset_flags_named(self, tmp_path, capsys, flags, message):
+        path = tmp_path / "ckpt.json"
+        network.save_checkpoint(network.init_model(3, [5, 2], make_orthoplex(4), seed=0), path)
+        assert run(["eval", "--checkpoint", str(path), "--blobs-dim", "3", *flags]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_no_dataset_args(self, tmp_path, capsys):
         path, _ = blob_config(tmp_path, epochs=1)

@@ -563,7 +563,7 @@ class TestCheckpoint:
 
         def no_decoding(*args, **kwargs):
             raise AssertionError("base64 was decoded")
-        monkeypatch.setattr(network.base64, "b64decode", no_decoding)
+        monkeypatch.setattr(polytope.base64, "b64decode", no_decoding)
         with pytest.raises(polytope.StructuralError, match=f"more than {bound} entries$"):
             network.model_from_dict(payload)
 

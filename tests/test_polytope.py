@@ -379,6 +379,23 @@ class TestSerialization:
         payload = json.loads(path.read_text())
         assert set(payload) == {"kind", "K", "d", "phi", "rows"}
         assert payload["kind"] == "cube"
+        assert payload["rows"]["shape"] == [5, 3] and set(payload["rows"]) == {"shape", "base64"}
+
+    @pytest.mark.parametrize("shape", [[2 ** 12, 2 ** 12 + 1], [10 ** 400, 1]],
+                             ids=["just_over", "beyond_float"])
+    def test_too_many_rows_refused_before_decoding(self, tmp_path, monkeypatch, shape):
+        payload = polytope.to_dict(make_cube(4))
+        payload["rows"]["shape"] = shape
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(payload))
+
+        def no_decoding(*args, **kwargs):
+            raise AssertionError("base64 was decoded")
+        monkeypatch.setattr(polytope.base64, "b64decode", no_decoding)
+        with pytest.raises(polytope.StructuralError,
+                           match=f"^rows shape .* holds more than {polytope.MAX_HEAD_ENTRIES} "
+                                 "entries$"):
+            polytope.load_json(path)
 
 
 class TestJsonField:

@@ -17,8 +17,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from polyhead import cli, metrics, network
-from polyhead.polytope import (ClassifierWeights, PolytopeKind, make_cube, make_simplex,
-                               make_weights, save_json, to_dict)
+from polyhead.polytope import (ClassifierWeights, PolytopeKind, StructuralError, load_json,
+                               make_cube, make_simplex, make_weights, save_json, to_dict)
 
 SPECIAL = [0.0, -0.0, 5e-324, -2.2e-308, 1e-300, -1e300, 1e300, 1.7976931348623157e308,
            math.nan, math.inf, -math.inf]
@@ -285,13 +285,13 @@ class TestExportScatterMatchesCsvWriter:
 @st.composite
 def head_files(draw):
     """A head of any kind and phi whose rows are not a polytope's: either
-    drawn from SPECIAL, with 0.0 and -0.0 both present, or all distinct
-    over exponents 1e-300..1e300.  Shapes run down to two rows and one
-    column."""
+    drawn from SPECIAL and -max, with 0.0 and -0.0 both present, or all
+    distinct over exponents 1e-300..1e300.  Shapes run down to two rows and
+    one column."""
     shape = (draw(st.sampled_from([2, 3, 7, 40])), draw(st.sampled_from([1, 2, 5, 30])))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     if draw(st.booleans()):
-        rows = rng.choice(SPECIAL, size=shape)
+        rows = rng.choice(SPECIAL + [-1.7976931348623157e308], size=shape)
         rows[0, 0], rows[-1, -1] = 0.0, -0.0
     else:
         rows = (rng.choice([-1.0, 1.0], size=shape) * rng.uniform(1.0, 10.0, size=shape)
@@ -323,6 +323,11 @@ class TestJsonMatchesJsonDump:
         save_json(weights, tmp_path / "new.json")
         json_dump_reference(to_dict(weights), tmp_path / "old.json")
         assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
+        assert load_json(tmp_path / "new.json").rows.tobytes() == weights.rows.tobytes()
+        model = network.init_model(2, [weights.dim], weights, seed=0)
+        network.save_checkpoint(model, tmp_path / "ckpt.json")
+        again = network.load_checkpoint(tmp_path / "ckpt.json")
+        assert again.head.rows.tobytes() == weights.rows.tobytes()
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -331,6 +336,14 @@ class TestJsonMatchesJsonDump:
         save_json(weights, tmp_path / "new.json")
         json_dump_reference(to_dict(weights), tmp_path / "old.json")
         assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
+        if not np.isfinite(weights.rows).all():
+            with pytest.raises(StructuralError, match="^non-finite value in rows$"):
+                load_json(tmp_path / "new.json")
+            return
+        again = load_json(tmp_path / "new.json")
+        assert again.kind is weights.kind
+        assert again.rows.tobytes() == weights.rows.tobytes()
+        assert np.float64(again.phi).tobytes() == np.float64(weights.phi).tobytes()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("head", HEADS, ids=HEAD_IDS)

@@ -16,10 +16,12 @@ same kind.
 It prints one line per command, with its exit code and the sha256 of its
 standard output, then one ``sha256  path`` line per file under ``--out``.
 Every path in a config is relative to ``--out``, so two source trees that
-print the same lines wrote the same bytes::
+print the same lines wrote the same bytes.  Run each tree's own copy of this
+tool, since the nudged file is written in that tree's head-file layout::
 
     python tools/artifact_grid.py --src src --out /tmp/grid-new > new.txt
-    python tools/artifact_grid.py --src /tmp/parent/src --out /tmp/grid-old > old.txt
+    python /tmp/parent/tools/artifact_grid.py --src /tmp/parent/src \\
+        --out /tmp/grid-old > old.txt
     diff old.txt new.txt
 """
 
@@ -84,8 +86,11 @@ def run_head_commands() -> None:
             run_command("gen-weights", name, ["gen-weights", "--kind", kind,
                                               "--classes", str(classes), "--out", path])
             run_command("check", name, ["check", "--weights", path])
+    from polyhead import polytope
     payload = json.loads(Path("heads/simplex-10.json").read_text())
-    payload["rows"][0][1] += 1e-6  # turns row 0 more than it stretches it
+    rows = polytope.decode_array(payload["rows"], 2, polytope.MAX_HEAD_ENTRIES, "rows")
+    rows[0, 1] += 1e-6  # turns row 0 more than it stretches it
+    payload["rows"] = polytope.encode_array(rows)
     Path("heads/simplex-10-nudged.json").write_text(json.dumps(payload))
     run_command("check", "simplex-10-nudged",
                 ["check", "--weights", "heads/simplex-10-nudged.json"])
