@@ -121,6 +121,12 @@ def _load_dataset(section: dict) -> datamod.LabeledBatch:
     return datamod.LabeledBatch(batch.inputs[:limit], batch.labels[:limit])
 
 
+# eval's --blobs-* flags: make_blobs' arguments in order, with the value used
+# for a flag not given (None for --blobs-classes, which selects blobs data).
+_EVAL_BLOBS = {"classes": None, "dim": 2, "per_class": 100, "spread": 1.0,
+               "separation": 6.0, "seed": 0}
+
+
 def _tolerance(text: str) -> float:
     tol = float(text)
     if not (math.isfinite(tol) and tol >= 0):
@@ -208,9 +214,7 @@ def cmd_train(args) -> int:
 
     network.save_checkpoint(model, out_dir / "checkpoint.json", extra=resolved)
     report.save(out_dir / "geometry.json")
-    metrics.export_scatter(feats, dataset.labels, False, out_dir / "features.csv")
-    metrics.export_scatter(feats, dataset.labels, True,
-                           out_dir / "features_norm.csv")
+    metrics.export_scatter(feats, dataset.labels, out_dir / "features.csv")
 
     print(f"final mean_loss={log[-1].mean_loss:.6f} "
           f"train_accuracy={log[-1].train_accuracy:.4f}")
@@ -223,17 +227,24 @@ def cmd_eval(args) -> int:
     if bool(args.images) != bool(args.labels):
         raise ConfigError("--images needs --labels" if args.images
                           else "--labels needs --images")
-    if not args.images and args.blobs_classes is None:
+    blobs = {key: getattr(args, f"blobs_{key}") for key in _EVAL_BLOBS}
+    if args.images:
+        unused = [f"--blobs-{key.replace('_', '-')}" for key, value in blobs.items()
+                  if value is not None]
+        if unused:
+            raise ConfigError(f"{', '.join(unused)} cannot be used with --images")
+    elif args.blobs_classes is None:
         raise ConfigError("provide --images/--labels or --blobs-* options")
+    elif args.emnist:
+        raise ConfigError("--emnist needs --images")
     with _reading():
         model = network.load_checkpoint(args.checkpoint)
         if args.images:
             dataset = datamod.load_idx(args.images, args.labels,
                                        emnist=args.emnist)
         else:
-            dataset = datamod.make_blobs(args.blobs_classes, args.blobs_dim,
-                                         args.blobs_per_class, args.blobs_spread,
-                                         args.blobs_separation, args.blobs_seed)
+            dataset = datamod.make_blobs(*(_EVAL_BLOBS[key] if value is None else value
+                                           for key, value in blobs.items()))
         if dataset.inputs.shape[1] != model.input_dim:
             raise ConfigError(f"dataset input dim {dataset.inputs.shape[1]} != "
                               f"checkpoint input dim {model.input_dim}")
@@ -274,12 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--images")
     p.add_argument("--labels")
     p.add_argument("--emnist", action="store_true")
-    p.add_argument("--blobs-classes", type=int)
-    p.add_argument("--blobs-dim", type=int, default=2)
-    p.add_argument("--blobs-per-class", type=int, default=100)
-    p.add_argument("--blobs-spread", type=float, default=1.0)
-    p.add_argument("--blobs-separation", type=float, default=6.0)
-    p.add_argument("--blobs-seed", type=int, default=0)
+    for key in _EVAL_BLOBS:
+        p.add_argument(f"--blobs-{key.replace('_', '-')}", type=_SECTIONS["blobs"][key][0])
     p.add_argument("--out")
     p.set_defaults(func=cmd_eval)
     return parser

@@ -195,22 +195,3 @@ def evaluate(kind: LossKind, weights: ClassifierWeights, features: np.ndarray,
             res.grad_weights = _chain_normalization(res.grad_weights, rows,
                                                     row_norms)
     return res
-
-
-def grad_check(kind: LossKind, weights, features: np.ndarray,
-               labels: np.ndarray, step: float = 1e-6) -> float:
-    """Max relative error of the analytic feature gradient vs central differences."""
-    features = np.asarray(features, dtype=np.float64)
-    analytic = evaluate(kind, weights, features, labels).grad_features
-    worst = 0.0
-    for n in range(features.shape[0]):
-        for j in range(features.shape[1]):
-            bumped = features.copy()
-            bumped[n, j] += step
-            hi = evaluate(kind, weights, bumped, labels).value
-            bumped[n, j] -= 2.0 * step
-            lo = evaluate(kind, weights, bumped, labels).value
-            numeric = (hi - lo) / (2.0 * step)
-            denom = max(1e-8, abs(analytic[n, j]) + abs(numeric))
-            worst = max(worst, abs(analytic[n, j] - numeric) / denom)
-    return worst

@@ -156,20 +156,13 @@ def geometry_report(head, features: np.ndarray, labels: np.ndarray,
                           accuracy(predictions, labels), degenerate)
 
 
-def export_scatter(features: np.ndarray, labels: np.ndarray,
-                   normalized: bool, path) -> None:
-    """CSV ``label,f0,...,f{d-1}``; optionally unit-normalize rows first.
-
-    Zero-norm rows are written unchanged in normalized mode.  A label count
-    other than the row count is a ValueError.
-    """
+def export_scatter(features: np.ndarray, labels: np.ndarray, path) -> None:
+    """CSV ``label,f0,...,f{d-1}``.  A label count other than the row count
+    is a ValueError."""
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
     if labels.shape != features.shape[:1]:
         raise ValueError(f"labels of shape {labels.shape} for {len(features)} feature rows")
-    if normalized:
-        norms = np.linalg.norm(features, axis=1, keepdims=True)
-        features = features / np.where(norms > 0, norms, 1.0)
     header = ",".join(["label"] + [f"f{i}" for i in range(features.shape[1])])
     # csv.writer's bytes: its \r\n line ends, and no float repr needs quoting
     with open(path, "w", newline="") as fh:

@@ -535,7 +535,7 @@ class TestTrain:
         assert run(["train", "--config", str(path),
                     "--out-dir", str(tmp_path / "b")]) == 0
         for name in ("checkpoint.json", "epochs.csv", "geometry.json",
-                     "features.csv", "features_norm.csv", "config_resolved.json"):
+                     "features.csv", "config_resolved.json"):
             assert ((tmp_path / "a" / name).read_bytes()
                     == (tmp_path / "b" / name).read_bytes())
 
@@ -552,6 +552,14 @@ class TestReadme:
         path.write_text(example)
         assert run(["train", "--config", str(path),
                     "--out-dir", str(tmp_path / "run")]) == 0
+
+    def test_run_files_match_the_readme(self, tmp_path):
+        sentence = README.read_text().split(
+            "`train` writes into the output directory:")[1].split("Runs are")[0]
+        path, _ = blob_config(tmp_path, epochs=1)
+        assert run(["train", "--config", str(path)]) == 0
+        assert ({p.name for p in (tmp_path / "run").iterdir()}
+                == set(re.findall(r"`(\w+\.\w+)`", sentence)))
 
     def test_key_table_matches_the_config_reader(self):
         rows = re.findall(r"^\| (\w+) +\| `(\w+)` +\| ([^|]+?) +\| ([^|]+?) +\|$",
@@ -802,6 +810,51 @@ class TestEval:
         network.save_checkpoint(network.init_model(3, [5, 2], make_orthoplex(4), seed=0), path)
         assert run(["eval", "--checkpoint", str(path), "--blobs-dim", "3", *flags]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    # a flag of the other dataset is named even at the value it would take
+    @pytest.mark.parametrize("flags,message", [
+        (["--blobs-classes", "4", "--blobs-dim", "7"],
+         "--blobs-classes, --blobs-dim cannot be used with --images"),
+        (["--blobs-seed", "0"], "--blobs-seed cannot be used with --images"),
+        (["--blobs-per-class", "100", "--blobs-spread", "1", "--blobs-separation", "6"],
+         "--blobs-per-class, --blobs-spread, --blobs-separation cannot be used with --images"),
+    ], ids=["classes_and_dim", "seed_at_default", "three_at_default"])
+    def test_blobs_flags_with_images_named(self, tmp_path, capsys, flags, message):
+        path = tmp_path / "ckpt.json"
+        network.save_checkpoint(network.init_model(3, [5, 2], make_orthoplex(4), seed=0), path)
+        images, labels = tmp_path / "images", tmp_path / "labels"
+        data.write_idx(data.LabeledBatch(np.full((4, 3), 0.5), np.zeros(4, dtype=int)),
+                       images, labels, 1, 3)
+        idx = ["eval", "--checkpoint", str(path), "--images", str(images),
+               "--labels", str(labels)]
+        assert run(idx) == 0
+        capsys.readouterr()
+        assert run([*idx, *flags, "--out", str(tmp_path / "report.json")]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not (tmp_path / "report.json").exists()
+
+    def test_emnist_on_blobs_named(self, tmp_path, capsys):
+        path = tmp_path / "ckpt.json"
+        network.save_checkpoint(network.init_model(3, [5, 2], make_orthoplex(4), seed=0), path)
+        assert run(["eval", "--checkpoint", str(path), "--blobs-classes", "2",
+                    "--blobs-dim", "3", "--emnist",
+                    "--out", str(tmp_path / "report.json")]) == 2
+        assert capsys.readouterr() == ("", "error: --emnist needs --images\n")
+        assert not (tmp_path / "report.json").exists()
+
+    def test_blobs_flag_defaults(self, tmp_path, capsys):
+        path = tmp_path / "ckpt.json"
+        network.save_checkpoint(network.init_model(3, [5, 2], make_orthoplex(4), seed=0), path)
+        blobs = ["eval", "--checkpoint", str(path), "--blobs-classes", "2",
+                 "--blobs-dim", "3"]
+        assert run([*blobs, "--out", str(tmp_path / "omitted.json")]) == 0
+        omitted = capsys.readouterr()
+        assert run([*blobs, "--blobs-per-class", "100", "--blobs-spread", "1.0",
+                    "--blobs-separation", "6.0", "--blobs-seed", "0",
+                    "--out", str(tmp_path / "given.json")]) == 0
+        assert capsys.readouterr() == omitted
+        assert ((tmp_path / "omitted.json").read_bytes()
+                == (tmp_path / "given.json").read_bytes())
 
     def test_no_dataset_args(self, tmp_path, capsys):
         path, _ = blob_config(tmp_path, epochs=1)

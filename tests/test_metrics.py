@@ -1,10 +1,23 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from polyhead.metrics import accuracy, export_scatter, geometry_report
 from polyhead.polytope import ClassifierWeights, make_simplex
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_unit_view(path) -> np.ndarray:
+    """The unit-normalized rows of the scatter CSV at ``path``, by the numpy
+    snippet the README gives for ``run/features.csv``."""
+    blocks = [block.split("```")[0] for block in README.read_text().split("```python\n")[1:]]
+    snippet, = [block for block in blocks if "run/features.csv" in block]
+    scope = {}
+    exec(snippet.replace("run/features.csv", str(path)), scope)
+    return scope["unit"]
 
 
 class TestAccuracy:
@@ -123,7 +136,7 @@ class TestExportScatter:
         feats = rng.normal(size=(40, 9))
         labels = np.tile(np.arange(10), 4)
         path = tmp_path / "scatter.csv"
-        export_scatter(feats, labels, False, path)
+        export_scatter(feats, labels, path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "label," + ",".join(f"f{i}" for i in range(9))
         assert len(lines) == 41
@@ -132,19 +145,21 @@ class TestExportScatter:
     def test_normalized_rows_unit(self, tmp_path):
         rng = np.random.default_rng(4)
         feats = rng.normal(size=(15, 4))
+        feats[6] = 0.0
         labels = rng.integers(0, 3, 15)
         path = tmp_path / "scatter.csv"
-        export_scatter(feats, labels, True, path)
-        values = np.array([[float(v) for v in line.split(",")[1:]]
-                           for line in path.read_text().strip().splitlines()[1:]])
-        assert np.abs(np.linalg.norm(values, axis=1) - 1.0).max() < 1e-10
+        export_scatter(feats, labels, path)
+        values = readme_unit_view(path)
+        nonzero = np.arange(15) != 6
+        assert np.abs(np.linalg.norm(values[nonzero], axis=1) - 1.0).max() < 1e-10
+        assert np.array_equal(values[6], np.zeros(4))
 
     def test_reimport_exact(self, tmp_path):
         rng = np.random.default_rng(5)
         feats = rng.normal(size=(7, 3))
         labels = rng.integers(0, 2, 7)
         path = tmp_path / "scatter.csv"
-        export_scatter(feats, labels, False, path)
+        export_scatter(feats, labels, path)
         values = np.array([[float(v) for v in line.split(",")[1:]]
                            for line in path.read_text().strip().splitlines()[1:]])
         assert np.array_equal(values, feats)

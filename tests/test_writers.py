@@ -19,13 +19,15 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from polyhead import cli, metrics, network
 from polyhead.polytope import (ClassifierWeights, PolytopeKind, StructuralError, load_json,
                                make_cube, make_simplex, make_weights, save_json, to_dict)
+from test_metrics import readme_unit_view
 
 SPECIAL = [0.0, -0.0, 5e-324, -2.2e-308, 1e-300, -1e300, 1e300, 1.7976931348623157e308,
            math.nan, math.inf, -math.inf]
 
 
 def csv_writer_reference(features, labels, normalized, path):
-    """The csv.writer loop export_scatter used to run."""
+    """The csv.writer loop export_scatter used to run, with the normalized
+    mode that wrote ``features_norm.csv``."""
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
     if normalized:
@@ -244,14 +246,19 @@ class TestExportScatterMatchesCsvWriter:
     @pytest.mark.parametrize("head", HEADS, ids=HEAD_IDS)
     @pytest.mark.parametrize("label_type", LABEL_TYPES + [np.uint8, np.float64],
                              ids=lambda t: t.__name__)
-    @pytest.mark.parametrize("normalized", [False, True])
-    def test_edge_cases_bytewise(self, tmp_path, head, label_type, normalized):
+    @pytest.mark.parametrize("unit_view", [False, True])
+    def test_edge_cases_bytewise(self, tmp_path, head, label_type, unit_view):
+        """The scatter file, and with ``unit_view`` the README's unit view of
+        it written back, against the csv.writer loop's raw and normalized files."""
         features, labels = edge_case_features(head, 5)
         if label_type is np.uint8:
             labels = labels % 200
         labels = label_type(labels) if label_type is list else labels.astype(label_type)
-        metrics.export_scatter(features, labels, normalized, tmp_path / "new.csv")
-        csv_writer_reference(features, labels, normalized, tmp_path / "old.csv")
+        metrics.export_scatter(features, labels, tmp_path / "new.csv")
+        if unit_view:
+            metrics.export_scatter(readme_unit_view(tmp_path / "new.csv"), labels,
+                                   tmp_path / "new.csv")
+        csv_writer_reference(features, labels, unit_view, tmp_path / "old.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
     @pytest.mark.parametrize("rows", [metrics.CSV_CHUNK_ROWS,
@@ -264,10 +271,10 @@ class TestExportScatterMatchesCsvWriter:
         labels = rng.integers(0, 5, rows + extra)
         if extra:  # zip would truncate to the shorter side, so it is refused
             with pytest.raises(ValueError, match="labels"):
-                metrics.export_scatter(features, labels, False, tmp_path / "new.csv")
+                metrics.export_scatter(features, labels, tmp_path / "new.csv")
             assert not (tmp_path / "new.csv").exists()
             return
-        metrics.export_scatter(features, labels, False, tmp_path / "new.csv")
+        metrics.export_scatter(features, labels, tmp_path / "new.csv")
         csv_writer_reference(features, labels, False, tmp_path / "old.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
@@ -275,11 +282,9 @@ class TestExportScatterMatchesCsvWriter:
     def test_degenerate_shapes_bytewise(self, tmp_path, shape):
         features = np.full(shape, -0.0)
         labels = np.arange(shape[0])
-        for normalized in (False, True):
-            metrics.export_scatter(features, labels, normalized, tmp_path / "new.csv")
-            csv_writer_reference(features, labels, normalized, tmp_path / "old.csv")
-            assert ((tmp_path / "new.csv").read_bytes()
-                    == (tmp_path / "old.csv").read_bytes())
+        metrics.export_scatter(features, labels, tmp_path / "new.csv")
+        csv_writer_reference(features, labels, False, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 @st.composite
