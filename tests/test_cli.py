@@ -803,8 +803,9 @@ class TestEval:
 
     @pytest.mark.parametrize("flags,message", [
         (["--labels", "labels", "--blobs-classes", "2"], "--labels needs --images"),
-        (["--blobs-classes", "0"], "need at least 2 classes, got 0")],
-        ids=["labels_without_images", "zero_blob_classes"])
+        (["--blobs-classes", "0"], "need at least 2 classes, got 0"),
+        (["--blobs-classes", "2", "--emnist"], "--emnist needs --images")],
+        ids=["labels_without_images", "zero_blob_classes", "emnist_on_blobs"])
     def test_dataset_flags_named(self, tmp_path, capsys, flags, message):
         path = tmp_path / "ckpt.json"
         network.save_checkpoint(network.init_model(3, [5, 2], make_orthoplex(4), seed=0), path)
@@ -831,15 +832,6 @@ class TestEval:
         capsys.readouterr()
         assert run([*idx, *flags, "--out", str(tmp_path / "report.json")]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
-        assert not (tmp_path / "report.json").exists()
-
-    def test_emnist_on_blobs_named(self, tmp_path, capsys):
-        path = tmp_path / "ckpt.json"
-        network.save_checkpoint(network.init_model(3, [5, 2], make_orthoplex(4), seed=0), path)
-        assert run(["eval", "--checkpoint", str(path), "--blobs-classes", "2",
-                    "--blobs-dim", "3", "--emnist",
-                    "--out", str(tmp_path / "report.json")]) == 2
-        assert capsys.readouterr() == ("", "error: --emnist needs --images\n")
         assert not (tmp_path / "report.json").exists()
 
     def test_blobs_flag_defaults(self, tmp_path, capsys):
