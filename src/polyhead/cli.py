@@ -14,8 +14,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
+import functools
 import json
 import math
+import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -146,6 +149,17 @@ def _score(model: network.MlpModel, dataset: datamod.LabeledBatch) -> tuple:
     return feats, metrics.geometry_report(model.head, feats, dataset.labels, preds)
 
 
+def _refuse_non_directory(out_dir: Path) -> None:
+    """Raise NotADirectoryError (exit 3) when ``out_dir`` or a parent of it
+    exists and is not a directory, so that ``train`` fails before it runs."""
+    for path in (out_dir, *out_dir.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR),
+                                         str(path))
+            return
+
+
 def cmd_gen_weights(args) -> int:
     with _reading():
         weights = make_weights(PolytopeKind(args.kind), args.classes)
@@ -173,6 +187,7 @@ def cmd_train(args) -> int:
         config = json.loads(Path(args.config).read_text())
         cfg = _section(json_field(config, None, dict, "config"), "config")
         out_dir = Path(args.out_dir or cfg["out_dir"])
+        _refuse_non_directory(out_dir)
         classifier = _section(cfg["classifier"], "classifier")
         weights = make_weights(PolytopeKind(classifier["kind"]), classifier["classes"])
         loss_kind, loss_echo = _parse_loss(cfg["loss"], weights.phi)
@@ -259,7 +274,11 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one: each ``parse_args`` fills a new namespace, and every default is
+    None, False, a number or a string, so no value carries over between calls."""
     parser = argparse.ArgumentParser(prog="polyhead")
     sub = parser.add_subparsers(dest="command", required=True)
 

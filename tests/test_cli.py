@@ -1,3 +1,4 @@
+import argparse
 import base64
 import json
 import math
@@ -520,6 +521,31 @@ class TestTrain:
         with pytest.raises(ValueError, match="broken"):
             run(["train", "--config", str(path)])
 
+    @pytest.mark.parametrize("given_by", ["config", "flag"])
+    @pytest.mark.parametrize("under", [False, True], ids=["is_a_file", "under_a_file"])
+    def test_out_dir_through_a_file_exits_3_before_training(self, tmp_path, capsys,
+                                                           monkeypatch, given_by, under):
+        # the data is never built and the model never trained: either would
+        # end in a traceback here
+        def broken(*args):
+            raise RuntimeError("reached")
+        monkeypatch.setattr(cli.datamod, "make_blobs", broken)
+        monkeypatch.setattr(cli.network, "train", broken)
+        blocker = tmp_path / "taken"
+        blocker.write_text("a file")
+        out_dir = str(blocker / "run" if under else blocker)
+        if given_by == "config":
+            path, _ = blob_config(tmp_path, epochs=1, out_dir=out_dir)
+            argv = ["train", "--config", str(path)]
+        else:
+            path, _ = blob_config(tmp_path, epochs=1)
+            argv = ["train", "--config", str(path), "--out-dir", out_dir]
+        assert run(argv) == 3
+        assert capsys.readouterr() == ("", f"error: [Errno 20] Not a directory: "
+                                           f"'{blocker}'\n")
+        assert blocker.read_text() == "a file"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "taken"]
+
     def test_config_parse_error(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{ not json }")
@@ -856,6 +882,119 @@ class TestEval:
                     str(tmp_path / "run" / "checkpoint.json")]) == 2
         assert capsys.readouterr() == (
             "", "error: provide --images/--labels or --blobs-* options\n")
+
+
+def outcome(capsys, argv) -> tuple:
+    """The exit code, stdout and stderr of one ``cli.main`` call."""
+    code = run(argv)
+    return (code, *capsys.readouterr())
+
+
+# argv, exit code, and a line argparse prints: usage errors print the usage
+# and the error on stderr, help prints on stdout
+USAGE_CASES = {
+    "no_command": ([], 2, "polyhead: error: the following arguments are required: "
+                          "command"),
+    "check_without_weights": (["check"], 2, "polyhead check: error: the following "
+                                            "arguments are required: --weights"),
+    "unknown_flag": (["check", "--weights", "w.json", "--nope"], 2,
+                     "polyhead: error: unrecognized arguments: --nope"),
+    "classes_not_a_number": (["gen-weights", "--kind", "cube", "--classes", "ten",
+                              "--out", "w.json"], 2,
+                             "polyhead gen-weights: error: argument --classes: "
+                             "invalid int value: 'ten'"),
+    "help": (["--help"], 0, "usage: polyhead [-h] {gen-weights,check,train,eval} ..."),
+    "check_help": (["check", "-h"], 0, "usage: polyhead check [-h] --weights WEIGHTS "
+                                       "[--tol TOL]"),
+}
+
+
+class TestOneParser:
+    """``cli.main`` parses every call with the parser of its first call."""
+
+    def test_no_parser_built_after_the_first_call(self, tmp_path, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        assert run(["--help"]) == 0  # the process's first call, if no test made it
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        weights = tmp_path / "w.json"
+        path, _ = blob_config(tmp_path, epochs=1)
+        checkpoint = tmp_path / "run" / "checkpoint.json"
+        for argv in (["gen-weights", "--kind", "cube", "--classes", "4",
+                      "--out", str(weights)],
+                     ["check", "--weights", str(weights)],
+                     ["train", "--config", str(path)],
+                     ["eval", "--checkpoint", str(checkpoint), "--blobs-classes", "4",
+                      "--blobs-dim", "3"]):
+            assert run(argv) == 0
+        assert built == []
+
+    @pytest.mark.parametrize("argv,code,line", USAGE_CASES.values(), ids=USAGE_CASES)
+    def test_usage_errors_and_help_repeat(self, tmp_path, capsys, monkeypatch, argv,
+                                          code, line):
+        monkeypatch.setenv("COLUMNS", "100")  # the width argparse wraps usage to
+        weights = tmp_path / "w.json"
+        gen = ["gen-weights", "--kind", "simplex", "--classes", "10", "--out", str(weights)]
+        made = (outcome(capsys, gen), weights.read_bytes())
+        assert made[0][0] == 0
+        first = outcome(capsys, argv)
+        weights.unlink()
+        assert (outcome(capsys, gen), weights.read_bytes()) == made
+        assert outcome(capsys, argv) == first
+        _, out, err = first
+        assert first[0] == code
+        if code == 0:
+            assert err == "" and out.startswith(line + "\n")
+        else:
+            assert out == "" and err.startswith("usage: polyhead")
+            assert err.endswith(line + "\n")
+
+    def test_no_flag_value_carries_over(self, tmp_path, capsys, monkeypatch):
+        # each flagged call sits between two identical calls without the flag
+        weights = tmp_path / "w.json"
+        assert run(["gen-weights", "--kind", "simplex", "--classes", "47",
+                    "--out", str(weights)]) == 0
+        capsys.readouterr()
+        check = ["check", "--weights", str(weights)]
+        first = outcome(capsys, check)
+        flagged = outcome(capsys, [*check, "--tol", "0"])  # worst deviation 2.2e-16
+        assert first[0] == 0 and flagged[0] == 1 and "FAIL" in flagged[1]
+        assert outcome(capsys, check) == first
+
+        checkpoint = tmp_path / "ckpt.json"
+        network.save_checkpoint(network.init_model(2, [5, 2], make_orthoplex(4), seed=0),
+                                checkpoint)
+        blobs = ["eval", "--checkpoint", str(checkpoint), "--blobs-classes", "4"]
+        first = outcome(capsys, blobs)
+        assert first[0] == 0  # the 2-d blobs of _EVAL_BLOBS
+        assert outcome(capsys, [*blobs, "--blobs-dim", "3"]) == (
+            2, "", "error: dataset input dim 3 != checkpoint input dim 2\n")
+        assert outcome(capsys, blobs) == first
+
+        emnist = []
+        load_idx = data.load_idx
+
+        def recording(*args, **kwargs):
+            emnist.append(kwargs["emnist"])
+            return load_idx(*args, **kwargs)
+        monkeypatch.setattr(cli.datamod, "load_idx", recording)
+        checkpoint = tmp_path / "ckpt4.json"
+        network.save_checkpoint(network.init_model(4, [5, 2], make_orthoplex(4), seed=0),
+                                checkpoint)
+        images, labels = tmp_path / "images", tmp_path / "labels"
+        data.write_idx(data.LabeledBatch(np.arange(24).reshape(6, 4) / 23.0,
+                                         np.arange(6) % 4), images, labels, 2, 2)
+        idx = ["eval", "--checkpoint", str(checkpoint), "--images", str(images),
+               "--labels", str(labels)]
+        first = outcome(capsys, idx)
+        assert first[0] == 0 and outcome(capsys, [*idx, "--emnist"])[0] == 0
+        assert outcome(capsys, idx) == first
+        assert emnist == [False, True, False]
 
 
 # messages of a raw lookup, a float conversion, numpy's array building or
