@@ -187,6 +187,8 @@ def cmd_train(args) -> int:
         config = json.loads(Path(args.config).read_text())
         cfg = _section(json_field(config, None, dict, "config"), "config")
         out_dir = Path(args.out_dir or cfg["out_dir"])
+        if "\0" in str(out_dir):  # Path.exists reads such a path as absent
+            raise ConfigError(f"out_dir must not hold a NUL character, got {str(out_dir)!r}")
         _refuse_non_directory(out_dir)
         classifier = _section(cfg["classifier"], "classifier")
         weights = make_weights(PolytopeKind(classifier["kind"]), classifier["classes"])

@@ -18,9 +18,8 @@ import numpy as np
 
 from . import losses
 from .data import LabeledBatch, batches
-from .polytope import (MAX_HEAD_ENTRIES, ClassifierWeights, StructuralError, check_rows,
-                       decode_array, encode_array, json_field,
-                       from_dict as weights_from_dict, to_dict as weights_to_dict)
+from .polytope import (ClassifierWeights, StructuralError, decode_array, encode_array,
+                       json_field, from_dict as weights_from_dict, to_dict as weights_to_dict)
 
 PRELU_SLOPE_INIT = 0.25
 ADAM_BETA1 = 0.9
@@ -82,9 +81,9 @@ class EpochStats:
 
 def init_model(input_dim: int, hidden_widths: List[int], head: ClassifierWeights,
                seed: int, trainable: bool = False) -> MlpModel:
-    """He-initialized MLP on ``head``.  With ``trainable`` the baseline's
-    rows, of the head's shape, are drawn after the layers and the head
-    keeps only its ``phi``, the vertex angle of the polytope it stands in for."""
+    """He-initialized MLP on ``head``.  With ``trainable`` the baseline's rows, of
+    the head's shape, are drawn after the layers and replace only the head's rows:
+    its ``kind`` and ``phi`` still name the polytope it stands in for."""
     if not hidden_widths or any(w < 1 for w in hidden_widths):
         raise ValueError(f"hidden widths must be positive, got {hidden_widths}")
     if head.dim != hidden_widths[-1]:
@@ -101,7 +100,7 @@ def init_model(input_dim: int, hidden_widths: List[int], head: ClassifierWeights
 
     if trainable:
         rows = rng.normal(0.0, np.sqrt(2.0 / head.dim), size=head.rows.shape)
-        head = ClassifierWeights(None, rows, head.phi, True)
+        head = ClassifierWeights(head.kind, rows, head.phi, True)
     return MlpModel(input_dim, layers, head)
 
 
@@ -241,25 +240,22 @@ def train(model: MlpModel, data: LabeledBatch, config: TrainConfig):
 
 def model_to_dict(model: MlpModel) -> dict:
     """A checkpoint's payload: each parameter array through ``encode_array``;
-    a fixed head as its head file's dict."""
-    h = model.head
-    if h.trainable:
-        head = {"type": "trainable", "rows": encode_array(h.rows)}
-    else:
-        head = {"type": "fixed", "weights": weights_to_dict(h)}
+    the head, fixed or trainable, as its head file's dict."""
     return {
         "input_dim": model.input_dim,
         "layers": [{"w": encode_array(layer.w), "b": encode_array(layer.b),
                     "slope": encode_array(layer.slope)} for layer in model.layers],
-        "head": head,
+        "head": {"type": "trainable" if model.head.trainable else "fixed",
+                 "weights": weights_to_dict(model.head)},
     }
 
 
 def model_from_dict(payload: dict) -> MlpModel:
     """The model a checkpoint describes.  Raises StructuralError unless its keys
     are of their JSON kinds, every parameter array passes ``decode_array``, the
-    head type is "fixed" or "trainable" and the widths chain from ``input_dim``
-    through each layer's ``w``, ``b`` and ``slope`` to the head's d."""
+    head type is "fixed" or "trainable" (writable rows), its ``weights`` pass
+    ``from_dict`` and the widths chain from ``input_dim`` through each layer's
+    ``w``, ``b`` and ``slope`` to the head's d."""
     input_dim = width = json_field(payload, "input_dim")
     layers = []
     for i, entry in enumerate(json_field(payload, "layers", list, items=dict)):
@@ -273,14 +269,11 @@ def model_from_dict(payload: dict) -> MlpModel:
         width = w.shape[0]
     head_payload = json_field(payload, "head", dict)
     head_type = json_field(head_payload, "type", str, "head type")
-    if head_type == "fixed":
-        head = weights_from_dict(json_field(head_payload, "weights", dict))
-    elif head_type == "trainable":
-        rows = decode_array(head_payload.get("rows"), 2, MAX_HEAD_ENTRIES, "head rows")
-        head = ClassifierWeights(None, check_rows(rows), math.nan, True)
-        losses.unit_rows(head)  # a zero row has no direction to score against
-    else:
+    if head_type not in ("fixed", "trainable"):
         raise StructuralError(f"unknown head type {head_type!r}")
+    head = weights_from_dict(json_field(head_payload, "weights", dict),
+                             trainable=head_type == "trainable")
+    losses.unit_rows(head)  # a zero trainable row has no direction to score against
     if head.dim != width:
         raise StructuralError(f"head d={head.dim} != last layer width {width}")
     return MlpModel(input_dim, layers, head)

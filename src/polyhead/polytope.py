@@ -54,9 +54,9 @@ class ClassifierWeights:
 
     A fixed head's rows are the polytope's unit vertices, made read-only
     when the head is built.  A trainable head's rows are raw parameters that Adam
-    updates in place; its ``kind`` is None, and every angular use of its
-    rows goes through ``losses.unit_rows``.  ``phi`` is the vertex angle
-    of the polytope the head is or stands in for (nan when unknown).
+    updates in place, and every angular use of them goes through
+    ``losses.unit_rows``.  ``kind`` and ``phi`` name the polytope the head is
+    or stands in for, and its vertex angle (nan when unknown).
     """
 
     kind: Optional[PolytopeKind]
@@ -335,12 +335,13 @@ def to_dict(weights: ClassifierWeights) -> dict:
             "phi": weights.phi, "rows": encode_array(weights.rows)}
 
 
-def from_dict(payload: dict) -> ClassifierWeights:
-    """The head a JSON payload describes, its rows checked against the header."""
+def from_dict(payload: dict, trainable: bool = False) -> ClassifierWeights:
+    """The head a JSON payload describes, its rows checked against the header;
+    read-only unless ``trainable``."""
     kind = PolytopeKind(json_field(payload, "kind", str))
     rows = check_rows(decode_array(payload.get("rows"), 2, MAX_HEAD_ENTRIES, "rows"),
                       (json_field(payload, "K"), json_field(payload, "d")))
-    return ClassifierWeights(kind, rows, json_field(payload, "phi", float))
+    return ClassifierWeights(kind, rows, json_field(payload, "phi", float), trainable)
 
 
 def save_json(weights: ClassifierWeights, path) -> None:

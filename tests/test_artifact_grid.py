@@ -1,3 +1,4 @@
+import json
 import re
 import subprocess
 import sys
@@ -23,6 +24,10 @@ def test_grid_runs_every_config(tmp_path):
     assert len({name for _, name, _ in runs}) == 50
     assert [(kind, code) for kind, _, code in runs] == [("train", "0"),
                                                         ("eval", "0")] * 50
+    for _, name, _ in runs[::2]:  # eval reads the head's phi from the checkpoint
+        phis = [json.loads((out / name / report).read_text())["phi"]
+                for report in ("geometry.json", "eval.json")]
+        assert phis[0] == phis[1] is not None, name
     files = re.findall(r"^[0-9a-f]{64}  (\S+)$", proc.stdout, re.M)
     assert len(files) == sum(1 for p in out.rglob("*") if p.is_file())
     assert len(commands) + len(files) == len(proc.stdout.splitlines())

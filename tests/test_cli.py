@@ -42,6 +42,12 @@ def first_entry(value):
     return lambda array: np.put(array, 0, value) or array
 
 
+def trainable_head(**weights):
+    """A checkpoint edit: the head made trainable, with these keys of its
+    ``weights`` set."""
+    return lambda p: p["head"].update(type="trainable") or p["head"]["weights"].update(weights)
+
+
 class TestGenWeights:
     def test_cube_47(self, tmp_path, capsys):
         out = tmp_path / "w.json"
@@ -241,6 +247,16 @@ def blob_config(tmp_path, **overrides):
     return path, config
 
 
+def eval_on_training_data(run_dir, config) -> bytes:
+    """The report ``eval --out`` writes for the run's checkpoint on the
+    blobs it was trained on."""
+    blobs = [arg for key in cli._EVAL_BLOBS
+             for arg in (f"--blobs-{key.replace('_', '-')}", str(config["dataset"][key]))]
+    assert run(["eval", "--checkpoint", str(run_dir / "checkpoint.json"), *blobs,
+                "--out", str(run_dir / "eval.json")]) == 0
+    return (run_dir / "eval.json").read_bytes()
+
+
 class TestTrain:
     def test_blobs_geometry(self, tmp_path):
         path, config = blob_config(tmp_path)
@@ -264,7 +280,7 @@ class TestTrain:
         assert resolved["loss"]["m"] == pytest.approx(math.pi / 2, abs=0)
 
     def test_trainable_baseline_rows_move(self, tmp_path):
-        path, _ = blob_config(
+        path, config = blob_config(
             tmp_path,
             classifier={"kind": "simplex", "classes": 4, "trainable": True},
             epochs=3)
@@ -273,14 +289,18 @@ class TestTrain:
         assert ckpt["head"]["type"] == "trainable"
         report = json.loads((tmp_path / "run" / "geometry.json").read_text())
         assert report["phi"] == make_simplex(4).phi  # the polytope it stands in for
+        assert (eval_on_training_data(tmp_path / "run", config)
+                == (tmp_path / "run" / "geometry.json").read_bytes())
 
     def test_fixed_head_identical_to_polytope(self, tmp_path):
         from polyhead.polytope import make_simplex
-        path, _ = blob_config(tmp_path, epochs=2)
+        path, config = blob_config(tmp_path, epochs=2)
         assert run(["train", "--config", str(path)]) == 0
         ckpt = json.loads((tmp_path / "run" / "checkpoint.json").read_text())
         rows = decoded(ckpt["head"]["weights"]["rows"])
         assert np.array_equal(rows, make_simplex(4).rows)
+        assert (eval_on_training_data(tmp_path / "run", config)
+                == (tmp_path / "run" / "geometry.json").read_bytes())
 
     def test_unknown_config_key(self, tmp_path):
         path, _ = blob_config(tmp_path, learningrate=0.1)
@@ -521,30 +541,42 @@ class TestTrain:
         with pytest.raises(ValueError, match="broken"):
             run(["train", "--config", str(path)])
 
-    @pytest.mark.parametrize("given_by", ["config", "flag"])
-    @pytest.mark.parametrize("under", [False, True], ids=["is_a_file", "under_a_file"])
-    def test_out_dir_through_a_file_exits_3_before_training(self, tmp_path, capsys,
-                                                           monkeypatch, given_by, under):
-        # the data is never built and the model never trained: either would
-        # end in a traceback here
+    @staticmethod
+    def refused_out_dir(tmp_path, monkeypatch, given_by, out_dir) -> int:
+        """``train``'s exit code with ``out_dir`` given by the config or the
+        flag.  The data is never built and the model never trained: either
+        would end in a traceback here."""
         def broken(*args):
             raise RuntimeError("reached")
         monkeypatch.setattr(cli.datamod, "make_blobs", broken)
         monkeypatch.setattr(cli.network, "train", broken)
+        if given_by == "config":
+            path, _ = blob_config(tmp_path, epochs=1, out_dir=out_dir)
+            return run(["train", "--config", str(path)])
+        path, _ = blob_config(tmp_path, epochs=1)
+        return run(["train", "--config", str(path), "--out-dir", out_dir])
+
+    @pytest.mark.parametrize("given_by", ["config", "flag"])
+    @pytest.mark.parametrize("under", [False, True], ids=["is_a_file", "under_a_file"])
+    def test_out_dir_through_a_file_exits_3_before_training(self, tmp_path, capsys,
+                                                           monkeypatch, given_by, under):
         blocker = tmp_path / "taken"
         blocker.write_text("a file")
         out_dir = str(blocker / "run" if under else blocker)
-        if given_by == "config":
-            path, _ = blob_config(tmp_path, epochs=1, out_dir=out_dir)
-            argv = ["train", "--config", str(path)]
-        else:
-            path, _ = blob_config(tmp_path, epochs=1)
-            argv = ["train", "--config", str(path), "--out-dir", out_dir]
-        assert run(argv) == 3
+        assert self.refused_out_dir(tmp_path, monkeypatch, given_by, out_dir) == 3
         assert capsys.readouterr() == ("", f"error: [Errno 20] Not a directory: "
                                            f"'{blocker}'\n")
         assert blocker.read_text() == "a file"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "taken"]
+
+    @pytest.mark.parametrize("given_by", ["config", "flag"])
+    def test_out_dir_with_nul_exits_2_before_training(self, tmp_path, capsys,
+                                                      monkeypatch, given_by):
+        out_dir = str(tmp_path / "run\0x")
+        assert self.refused_out_dir(tmp_path, monkeypatch, given_by, out_dir) == 2
+        assert capsys.readouterr() == ("", f"error: out_dir must not hold a NUL "
+                                           f"character, got {out_dir!r}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     def test_config_parse_error(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -706,10 +738,9 @@ class TestEval:
     # each edit with the eval data it is scored on; a one-row head cannot
     # score the 2-class blobs, so it gets data whose labels are all 0
     @pytest.mark.parametrize("edit,zero_labels", [
-        pytest.param(lambda p: p["head"].update(type="trainable",
-                                                rows=encoded([[1.0, 0.0, 0.0]] * 4)),
+        pytest.param(trainable_head(d=3, rows=encoded([[1.0, 0.0, 0.0]] * 4)),
                      False, id="trainable_rows_too_wide"),
-        pytest.param(lambda p: p["head"].update(type="trainable", rows=encoded([1.0, 0.0])),
+        pytest.param(trainable_head(rows=encoded([1.0, 0.0])),
                      False, id="trainable_rows_1d"),
         pytest.param(lambda p: p["head"].update(weights=to_dict(make_simplex(5))),
                      False, id="fixed_head_other_d"),
@@ -723,8 +754,7 @@ class TestEval:
         pytest.param(lambda p: p["layers"][1].update(
                          w=edited(p["layers"][1]["w"], first_entry(math.nan))),
                      False, id="nan_weight"),
-        pytest.param(lambda p: p["head"].update(type="trainable",
-                                                rows=encoded([[1.0, 0.0], [0.0, 0.0]])),
+        pytest.param(trainable_head(K=2, rows=encoded([[1.0, 0.0], [0.0, 0.0]])),
                      False, id="zero_trainable_row"),
         pytest.param(lambda p: p.update(input_dim=math.inf),
                      False, id="infinite_input_dim"),
@@ -737,7 +767,7 @@ class TestEval:
         pytest.param(lambda p: p["layers"][0].update(
                          w=edited(p["layers"][0]["w"], first_entry(1e308))),
                      False, id="overflowing_weight"),
-        pytest.param(lambda p: p["head"].update(type="trainable", rows=encoded([[1.0, 0.0]])),
+        pytest.param(trainable_head(K=1, rows=encoded([[1.0, 0.0]])),
                      True, id="one_trainable_row"),
         pytest.param(lambda p: p["head"].update(type="banana", rows=[[1.0, 0.0]] * 4),
                      False, id="unknown_head_type"),
@@ -766,19 +796,25 @@ class TestEval:
          f"phi must be a JSON number in float range, got {str(10 ** 320)[:40]}"),
         (lambda p: p["layers"][1].update(w=dict(encoded(np.zeros(9)), shape=[2, 5])),
          "layer 1 w holds 72 bytes, shape [2, 5] needs 80"),
-        (lambda p: p["head"].update(type="trainable",
-                                    rows={"shape": [4, 2], "base64": "[[1.0, 0.0]]"}),
-         "head rows base64 must be padded base64 text, got '[[1.0, 0.0]]'"),
+        (trainable_head(rows={"shape": [4, 2], "base64": "[[1.0, 0.0]]"}),
+         "rows base64 must be padded base64 text, got '[[1.0, 0.0]]'"),
         (lambda p: p["layers"][1].pop("b") and None, "layer 1 b must be a JSON object, got None"),
-        (lambda p: p["head"].update(type="trainable"),
-         "head rows must be a JSON object, got None"),
+        (lambda p: trainable_head()(p) or p["head"]["weights"].pop("rows") and None,
+         "rows must be a JSON object, got None"),
+        (trainable_head(K=3),
+         "head rows must be finite, at least 2 and of shape (3, 2); got shape (4, 2)"),
         # a fixed head in the layout before base64 entries
         (lambda p: p["head"]["weights"].update(rows=make_orthoplex(4).rows.tolist()),
          f"rows must be a JSON object, got {make_orthoplex(4).rows.tolist()!r:.40}"),
+        # a trainable head in the layout before one head layout: bare rows
+        (lambda p: p.update(head={"type": "trainable",
+                                  "rows": p["head"]["weights"]["rows"]}),
+         "missing key 'weights'"),
     ], ids=["layers_object", "head_list", "head_type_int", "weights_list",
             "fixed_head_phi_beyond_float",
             "weight_wrong_byte_count", "trainable_rows_not_base64", "missing_bias",
-            "missing_trainable_rows", "fixed_head_rows_old_layout"])
+            "missing_trainable_rows", "trainable_rows_other_K", "fixed_head_rows_old_layout",
+            "trainable_head_rows_old_layout"])
     def test_malformed_value_named(self, tmp_path, capsys, edit, message):
         payload = network.model_to_dict(network.init_model(3, [5, 2], make_orthoplex(4),
                                                            seed=0))

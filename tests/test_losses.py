@@ -433,7 +433,7 @@ def cube_head(K, trainable):
         return head
     rows = np.random.default_rng(K).normal(0.0, math.sqrt(2.0 / head.dim),
                                            size=head.rows.shape)
-    return ClassifierWeights(None, rows, head.phi, True)
+    return ClassifierWeights(head.kind, rows, head.phi, True)
 
 
 def grid_kinds(head):

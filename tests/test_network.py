@@ -499,13 +499,15 @@ class TestCheckpoint:
             network.model_from_dict(payload)
 
     def test_trainable_head_round_trip(self, tmp_path):
-        head = ClassifierWeights(None, np.zeros((5, 2)), math.nan)
+        head = ClassifierWeights(polytope.PolytopeKind.SIMPLEX, np.zeros((5, 2)),
+                                 polytope.expected_angle(polytope.PolytopeKind.SIMPLEX, 2))
         model = init_model(3, [4, 2], head, seed=72, trainable=True)
         path = tmp_path / "ckpt.json"
         network.save_checkpoint(model, path)
         again = network.load_checkpoint(path)
         assert again.head.trainable
         assert np.array_equal(again.head.rows, model.head.rows)
+        assert (again.head.kind, again.head.phi) == (head.kind, head.phi)
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -558,7 +560,8 @@ class TestCheckpoint:
                                                    trainable=True))
         if array == "rows":  # no layer to decode first
             payload.update(input_dim=2, layers=[])
-        entry = payload["layers"][0]["w"] if array == "w" else payload["head"]["rows"]
+        entry = (payload["layers"][0]["w"] if array == "w"
+                 else payload["head"]["weights"]["rows"])
         entry["shape"] = shape
 
         def no_decoding(*args, **kwargs):

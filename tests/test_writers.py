@@ -125,7 +125,7 @@ def heads():
     """A fixed simplex, a fixed cube, and a trainable head of each shape."""
     rng = np.random.default_rng(40)
     fixed = [make_simplex(6), make_cube(12)]
-    return fixed + [ClassifierWeights(None, rng.normal(size=w.rows.shape), w.phi, True)
+    return fixed + [ClassifierWeights(w.kind, rng.normal(size=w.rows.shape), w.phi, True)
                     for w in fixed]
 
 
@@ -362,7 +362,7 @@ class TestJsonMatchesJsonDump:
 
     @pytest.mark.parametrize("present", ["all", "two"])
     def test_geometry_report_many_classes(self, tmp_path, present):
-        """A K=1000 trainable baseline (phi null).  With "two", one class's
+        """A K=1000 trainable head of unknown phi (null).  With "two", one class's
         features cancel (mean direction None), so no pair is left (no_pairs)."""
         head = make_cube(1000)
         rng = np.random.default_rng(45)
