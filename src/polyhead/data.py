@@ -53,6 +53,7 @@ class LabeledBatch:
 
 
 def _read_header(raw: bytes, path, magic_expected: int, n_dims: int) -> tuple:
+    """The header's counts after the magic, and the offset of the payload."""
     header_len = 4 * (1 + n_dims)
     if len(raw) < header_len:
         raise IdxFormatError(f"{path}: truncated header")
@@ -61,7 +62,7 @@ def _read_header(raw: bytes, path, magic_expected: int, n_dims: int) -> tuple:
         raise IdxFormatError(
             f"{path}: bad magic 0x{fields[0] & 0xffffffff:08x}, "
             f"expected 0x{magic_expected:08x}")
-    return fields[1:], raw[header_len:]
+    return fields[1:], header_len
 
 
 def load_idx(images_path, labels_path, emnist: bool = False) -> LabeledBatch:
@@ -74,14 +75,15 @@ def load_idx(images_path, labels_path, emnist: bool = False) -> LabeledBatch:
     """
     with open(images_path, "rb") as fh:
         raw = fh.read()
-    (count, rows, cols), payload = _read_header(raw, images_path, IMAGE_MAGIC, 3)
+    (count, rows, cols), offset = _read_header(raw, images_path, IMAGE_MAGIC, 3)
     for field, value, least in (("image count", count, 0), ("rows", rows, 1),
                                 ("columns", cols, 1)):
         if value < least:
             raise IdxFormatError(f"{images_path}: header {field} {value} is below {least}")
-    if len(payload) < count * rows * cols:
+    if len(raw) - offset < count * rows * cols:
         raise IdxFormatError(f"{images_path}: truncated pixel payload")
-    pixels = np.frombuffer(payload[:count * rows * cols], dtype=np.uint8)
+    # frombuffer reads the bytes in place: no copy of the payload
+    pixels = np.frombuffer(raw, np.uint8, count=count * rows * cols, offset=offset)
     images = pixels.reshape(count, rows, cols)
     if emnist:
         images = images.transpose(0, 2, 1)
@@ -89,15 +91,15 @@ def load_idx(images_path, labels_path, emnist: bool = False) -> LabeledBatch:
 
     with open(labels_path, "rb") as fh:
         raw = fh.read()
-    (label_count,), payload = _read_header(raw, labels_path, LABEL_MAGIC, 1)
+    (label_count,), offset = _read_header(raw, labels_path, LABEL_MAGIC, 1)
     if label_count < 0:
         raise IdxFormatError(f"{labels_path}: header label count {label_count} is below 0")
-    if len(payload) < label_count:
+    if len(raw) - offset < label_count:
         raise IdxFormatError(f"{labels_path}: truncated label payload")
     if label_count != count:
         raise IdxFormatError(
             f"image count {count} != label count {label_count}")
-    labels = np.frombuffer(payload[:label_count], dtype=np.uint8).astype(np.int64)
+    labels = np.frombuffer(raw, np.uint8, count=label_count, offset=offset).astype(np.int64)
     return LabeledBatch(inputs, labels)
 
 

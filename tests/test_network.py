@@ -107,6 +107,30 @@ class TestForward:
         with pytest.raises(ValueError):
             forward(model, np.zeros((2, 6)))
 
+    @pytest.mark.parametrize("rows", [1, 2, 513, 1537])
+    def test_every_array_is_c_contiguous(self, rows):
+        # norms over axis 1 and backward's sums over axis 0 add up in an order
+        # that follows the layout: a transposed view would change their bits
+        model = init_model(12, [16, 3], make_simplex(4), seed=9)
+        x = np.random.default_rng(rows).normal(size=(rows, 12))
+        feats, cache = forward(model, x)
+        arrays = [feats] + [a for entry in cache for a in entry]
+        assert all(a.flags.c_contiguous for a in arrays)
+
+    @pytest.mark.parametrize("rows", [1, 513, 1537])
+    def test_paper_shape_matches_vectorized_reference(self, rows):
+        # to a tolerance, not to the bit: the product's two layouts round
+        # alike at most shapes, not at all of them
+        model = init_model(784, [256, 9], make_simplex(10), seed=10)
+        for layer in model.layers:
+            layer.b = np.random.default_rng(11).normal(size=layer.b.shape)
+        x = np.random.default_rng(rows).random((rows, 784))
+        ref = x
+        for layer in model.layers:
+            p = ref @ layer.w.T + layer.b
+            ref = np.where(p > 0, p, layer.slope * p)
+        assert np.abs(forward(model, x)[0] - ref).max() < 1e-12
+
 
 def grad_resolvable(kind, w, feats, y, step=1e-6):
     """True when no per-sample loss is so small that its gradient drowns in
