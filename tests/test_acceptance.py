@@ -6,6 +6,7 @@ they are skipped, not failed, when the files are absent and the IDX
 criterion falls back to a synthetic round-trip.
 """
 
+import itertools
 import json
 import math
 import os
@@ -15,14 +16,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polyhead import cli, data, losses, metrics, network
-from polyhead.polytope import (ClassifierWeights, PolytopeKind, make_cube,
-                               make_orthoplex, make_simplex, make_weights,
-                               verify_geometry)
-
-MAKERS = {PolytopeKind.SIMPLEX: make_simplex,
-          PolytopeKind.ORTHOPLEX: make_orthoplex,
-          PolytopeKind.CUBE: make_cube}
+from polyhead import cli, data, losses, metrics, network, polytope
+from polyhead.polytope import (PolytopeKind, make_cube, make_orthoplex, make_simplex,
+                               make_weights, verify_geometry)
+from reference import (eye_head, full_model_grad_check, grad_check, random_features,
+                       resolvable_models, well_conditioned_batches)
 
 
 def report(n, ok, detail=""):
@@ -56,7 +54,7 @@ def emnist_paths():
 def test_criterion_1_geometry_exactness():
     t0 = time.time()
     worst = 0.0
-    for kind, maker in MAKERS.items():
+    for kind, maker in polytope._MAKERS.items():
         for K in range(2, 101):
             w = maker(K)
             check = verify_geometry(w, tol=1e-10)
@@ -87,78 +85,40 @@ def test_criterion_3_loss_identities():
     w = make_simplex(8)
     worst = 0.0
     for _ in range(50):
-        f = rng.normal(size=(6, w.dim))
-        f /= np.linalg.norm(f, axis=1, keepdims=True)
-        f *= rng.uniform(0.5, 2.0, size=(6, 1))
+        f = random_features(rng, 6, w.dim)
         y = rng.integers(0, 8, 6)
         a = losses.evaluate(losses.AngularMargin(30.0, 0.0), w, f, y)
         b = losses.evaluate(losses.NormScaled(30.0), w, f, y)
         worst = max(worst, abs(a.value - b.value))
     # plain cross-entropy of zero logits: PlainCE over a head of identity rows
     exact = all(
-        losses.evaluate(losses.PlainCE(),
-                        ClassifierWeights(None, np.eye(K), math.nan),
-                        np.zeros((1, K)), np.zeros(1, dtype=int)).value
+        losses.evaluate(losses.PlainCE(), eye_head(K), np.zeros((1, K)),
+                        np.zeros(1, dtype=int)).value
         == math.log(K)
         for K in (2, 10, 47))
     report(3, worst <= 1e-12 and exact,
            f"(margin/norm-scaled worst gap {worst:.2e}, ln K exact: {exact})")
 
 
-def _sampled_configs(kind, w, count, n=4):
-    """Deterministic stream of configurations whose gradients finite
-    differences can actually resolve (no saturated softmax, angles off
-    the singular set)."""
-    margin = kind.m if isinstance(kind, losses.AngularMargin) else 0.0
-    rng = np.random.default_rng(44)
-    out = []
-    while len(out) < count:
-        f = rng.normal(size=(n, w.dim))
-        f /= np.linalg.norm(f, axis=1, keepdims=True)
-        f *= rng.uniform(0.5, 2.0, size=(n, 1))
-        y = rng.integers(0, w.num_classes, n)
-        unit = f / np.linalg.norm(f, axis=1, keepdims=True)
-        theta = np.arccos(np.clip((unit * w.rows[y]).sum(axis=1), -1, 1))
-        if theta.min() < 0.05 or theta.max() > math.pi - margin - 0.05:
-            continue
-        res = losses.evaluate(kind, w, f, y)
-        if res.per_sample.min() < 1e-3 or np.abs(res.grad_features).min() < 1e-4:
-            continue
-        out.append((f, y))
-    return out
-
-
 def test_criterion_4_gradient_suite():
-    from test_losses import grad_check
     t0 = time.time()
     w = make_simplex(10)
     kinds = [losses.PlainCE(), losses.FixedSoftmax(), losses.NormScaled(30.0),
              losses.AngularMargin(30.0, w.phi)]
     worst_loss = 0.0
     for kind in kinds:
-        for f, y in _sampled_configs(kind, w, 20):
+        for f, y in itertools.islice(well_conditioned_batches(kind, w, 4, 44), 20):
             worst_loss = max(worst_loss, grad_check(kind, w, f, y))
             assert worst_loss < 1e-5, f"{kind} grad check {worst_loss:.2e}"
 
-    from test_network import full_model_grad_check, grad_resolvable
-    w4 = make_simplex(4)
     worst_model = 0.0
     for kind in [losses.PlainCE(), losses.FixedSoftmax(),
                  losses.NormScaled(30.0), losses.AngularMargin(30.0, 0.5)]:
-        checked, seed = 0, 0
-        while checked < 20:
-            seed += 1
-            rng = np.random.default_rng(seed)
-            model = network.init_model(5, [4, 3], w4, seed=seed + 500)
-            x = rng.normal(size=(3, 5))
-            y = rng.integers(0, 4, 3)
-            feats, _ = network.forward(model, x)
-            if not grad_resolvable(kind, w4, feats, y):
-                continue
+        models = resolvable_models(kind, make_simplex(4), seed_offset=500)
+        for model, x, y in itertools.islice(models, 20):
             worst_model = max(worst_model,
                               full_model_grad_check(model, x, y, kind))
             assert worst_model < 1e-5
-            checked += 1
     elapsed = time.time() - t0
     report(4, elapsed < 30.0,
            f"(loss grads {worst_loss:.2e}, full model {worst_model:.2e}, "

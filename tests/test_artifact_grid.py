@@ -2,9 +2,8 @@ import json
 import re
 import subprocess
 import sys
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
+from reference import ROOT
 
 
 def test_grid_runs_every_config(tmp_path):

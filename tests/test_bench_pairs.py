@@ -4,11 +4,10 @@ import re
 import shutil
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
+from reference import ROOT
 
 
 def test_one_tiny_pair_of_the_same_tree(tmp_path):

@@ -4,7 +4,6 @@ import json
 import math
 import re
 import struct
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from polyhead import cli, data, network
 from polyhead.polytope import (PolytopeKind, load_json, make_orthoplex, make_simplex,
                                make_weights, to_dict)
+from reference import README
 
 
 def run(args):
@@ -598,7 +598,6 @@ class TestTrain:
                     == (tmp_path / "b" / name).read_bytes())
 
 
-README = Path(__file__).resolve().parents[1] / "README.md"
 TYPE_NAMES = {int: "integer", float: "number", bool: "true/false", str: "string",
               list: "list of integers", dict: "object"}
 
@@ -1067,9 +1066,14 @@ def perturb(payload, data):
     return root.get("root")
 
 
+def test_every_property_runs_derandomized_without_a_database():
+    # conftest.py loads the profile; each @settings(...) here inherits it
+    active = settings(max_examples=1)
+    assert active.derandomize and active.database is None and active.deadline is None
+
+
 class TestEvalFuzz:
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_perturbed_checkpoint_exits_0_or_2(self, tmp_path, capsys, data):
         model = network.init_model(3, [5, 2], make_orthoplex(4), seed=0,
@@ -1088,8 +1092,7 @@ class TestEvalFuzz:
 
 
 class TestCheckFuzz:
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_perturbed_head_file_exits_0_1_or_2(self, tmp_path, capsys, data):
         payload = to_dict(make_weights(data.draw(st.sampled_from(list(PolytopeKind))),
@@ -1107,8 +1110,7 @@ class TestCheckFuzz:
 
 
 class TestTrainConfigFuzz:
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_perturbed_config_exits_0_2_or_3(self, tmp_path, capsys, data):
@@ -1149,8 +1151,7 @@ def idx_bytes(magic, fields, size):
 
 
 class TestIdxHeaderFuzz:
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(images=st.tuples(HEADER_FIELDS, HEADER_FIELDS, HEADER_FIELDS),
            labels=st.one_of(st.none(), HEADER_FIELDS),  # None: the image count
            image_size=st.sampled_from(PAYLOAD_SIZES),

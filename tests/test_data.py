@@ -1,6 +1,5 @@
 import math
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +7,8 @@ import pytest
 from polyhead import data
 from polyhead.data import (EmptyDatasetError, IdxFormatError, LabeledBatch,
                            batches, load_idx, make_blobs, write_idx)
-from polyhead.polytope import ClassCountError
+from polyhead.polytope import ClassCountError, make_simplex
+from reference import loop_blobs, traced_peak
 
 
 def write_pair(tmp_path, images, labels, image_magic=0x00000803,
@@ -113,23 +113,6 @@ class TestLoadIdx:
         assert np.array_equal(again.labels, batch.labels)
 
 
-def loop_blobs(num_classes, dim, per_class, spread, separation, seed):
-    """The per-class loop make_blobs used to run, one draw per class."""
-    from test_polytope import simplex_reference
-    directions = simplex_reference(num_classes)
-    means = np.zeros((num_classes, dim))
-    width = min(dim, directions.shape[1])
-    means[:, :width] = separation * directions[:, :width]
-    rng = np.random.default_rng(seed)
-    inputs = np.empty((num_classes * per_class, dim))
-    labels = np.empty(num_classes * per_class, dtype=np.int64)
-    for c in range(num_classes):
-        sl = slice(c * per_class, (c + 1) * per_class)
-        inputs[sl] = means[c] + rng.normal(0.0, spread, size=(per_class, dim))
-        labels[sl] = c
-    return inputs, labels
-
-
 class TestMakeBlobs:
     @pytest.mark.parametrize("args", [(2, 1, 1, 1.0, 6.0, 0), (3, 5, 7, 0.5, -4.0, 9),
                                       (10, 40, 3, 2.0, 1e300, 1), (47, 6, 11, 0.0, 3.0, 2),
@@ -190,19 +173,10 @@ class TestMakeBlobs:
             make_blobs(3, 2, 5, 1.0, 6.0, seed)
 
     def test_k1000_means_never_build_the_simplex(self):
-        # numpy reports its buffers to tracemalloc, so the bound is exact; the
-        # whole 1000 x 999 simplex alone would be 8 MB
-        tracemalloc.start()
-        tracemalloc.reset_peak()
-        try:
-            make_blobs(1000, 32, 10, 1.0, 6.0, 0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3 * 1000 * 10 * 32 * 8
+        # the whole 1000 x 999 simplex alone would be 8 MB
+        assert traced_peak(make_blobs, 1000, 32, 10, 1.0, 6.0, 0) < 3 * 1000 * 10 * 32 * 8
 
     def test_zero_spread_puts_samples_on_their_means(self):
-        from polyhead.polytope import make_simplex
         batch = make_blobs(3, 2, 4, 0.0, -5.0, seed=0)
         assert np.array_equal(batch.inputs, -5.0 * make_simplex(3).rows[batch.labels])
 
@@ -214,7 +188,6 @@ class TestMakeBlobs:
 
     def test_means_on_padded_simplex(self):
         batch = make_blobs(3, 5, 2000, spread=0.1, separation=10.0, seed=2)
-        from polyhead.polytope import make_simplex
         directions = make_simplex(3).rows
         for c in range(3):
             mean = batch.inputs[batch.labels == c].mean(axis=0)

@@ -1,24 +1,12 @@
+import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from polyhead.metrics import accuracy, export_scatter, geometry_report
 from polyhead.polytope import ClassifierWeights, make_simplex
-
-README = Path(__file__).resolve().parents[1] / "README.md"
-
-
-def readme_unit_view(path) -> np.ndarray:
-    """The unit-normalized rows of the scatter CSV at ``path``, by the numpy
-    snippet the README gives for ``run/features.csv``."""
-    blocks = [block.split("```")[0] for block in README.read_text().split("```python\n")[1:]]
-    snippet, = [block for block in blocks if "run/features.csv" in block]
-    scope = {}
-    exec(snippet.replace("run/features.csv", str(path)), scope)
-    return scope["unit"]
-
+from reference import readme_unit_view
 
 class TestAccuracy:
     def test_all_equal(self):
@@ -101,7 +89,6 @@ class TestGeometryReport:
         assert report.per_class[0].count == 1
 
     def test_json_round_trip(self, tmp_path):
-        import json
         w = make_simplex(3)
         report = geometry_report(w, w.rows, np.arange(3), np.arange(3))
         path = tmp_path / "report.json"
@@ -111,7 +98,6 @@ class TestGeometryReport:
         assert len(payload["per_class"]) == 3
 
     def test_strict_json_writes_null_for_non_finite(self, tmp_path):
-        import json
         w = make_simplex(4)
         baseline = ClassifierWeights(None, w.rows.copy(), math.nan, trainable=True)
         feats = np.repeat(w.rows[2][None, :], 3, axis=0)

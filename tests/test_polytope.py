@@ -1,7 +1,6 @@
 import json
 import math
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,20 +11,10 @@ from polyhead.polytope import (ClassCountError, ClassifierWeights, PolytopeKind,
                                embedding_dim, expected_angle, make_cube,
                                make_orthoplex, make_simplex, simplex_rows,
                                verify_geometry)
+from reference import (all_pair_angles, bits, loop_cube, loop_orthoplex, simplex_reference,
+                       traced_peak)
 
 ALL_KINDS = list(PolytopeKind)
-
-
-def simplex_reference(K, dim=None):
-    """The simplex maker's earlier construction, the reference for
-    ``simplex_rows``: the whole (d+1) x d matrix of the d basis vectors and
-    alpha * sum(e_i), centroid-shifted and unit-normalized at once."""
-    dim = K - 1 if dim is None else dim
-    alpha = (1.0 - math.sqrt(dim + 1.0)) / dim
-    verts = np.vstack([np.eye(dim), alpha * np.ones((1, dim))])
-    verts -= verts.mean(axis=0)
-    verts /= np.linalg.norm(verts, axis=1, keepdims=True)
-    return verts[:K]
 
 
 class TestEmbeddingDim:
@@ -118,10 +107,6 @@ class TestSimplex:
         assert np.allclose(w.rows @ w.rows.T, expected, atol=1e-10)
 
 
-def same_bits(a, b):
-    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
-
-
 class TestSimplexRows:
     # K on both sides of the first block edges, at and past the benchmark's 1000
     @pytest.mark.parametrize("K", [*range(2, 34), 127, 128, 129, 255, 256, 257,
@@ -132,21 +117,13 @@ class TestSimplexRows:
             if (dim + 1) * dim > polytope.MAX_HEAD_ENTRIES:
                 continue
             expected = simplex_reference(K, dim)
-            assert same_bits(make_simplex(K, dim).rows, expected)
+            assert bits(make_simplex(K, dim).rows) == bits(expected)
             for columns in {1, 2, 10, 32, dim} & set(range(1, dim + 1)):
-                assert same_bits(simplex_rows(K, dim, columns), expected[:, :columns])
+                assert bits(simplex_rows(K, dim, columns)) == bits(expected[:, :columns])
 
     def test_simplex_1000_holds_its_rows_and_one_block(self):
-        # numpy reports its buffers to tracemalloc, so the bound is exact; the
-        # whole-matrix construction held two (d+1) x d arrays at its peak
-        tracemalloc.start()
-        tracemalloc.reset_peak()
-        try:
-            make_simplex(1000)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * 1000 * 999 * 8
+        # the whole-matrix construction held two (d+1) x d arrays at its peak
+        assert traced_peak(make_simplex, 1000) < 1.5 * 1000 * 999 * 8
 
 
 class TestOrthoplex:
@@ -221,17 +198,6 @@ class TestVerifyGeometry:
         assert check.min_angle == pytest.approx(0.0, abs=1e-12)
 
 
-def float_bits(x):
-    return np.float64(x).view(np.uint64)
-
-
-def all_pair_angles(rows):
-    """Brute force: the angle of every distinct row pair, as a flat array."""
-    rows = np.ascontiguousarray(rows)
-    gram = np.clip(rows @ rows.T, -1.0, 1.0)
-    return np.arccos(gram[np.triu_indices(rows.shape[0], k=1)])
-
-
 class TestMinPairwiseAngle:
     def test_matches_min_of_all_angles_bitwise(self):
         heads = [maker(K) for maker in (make_simplex, make_orthoplex, make_cube)
@@ -260,30 +226,22 @@ class TestMinPairwiseAngle:
             g = contiguous @ contiguous.T
             assert np.array_equal(g, g.T)
             expected = all_pair_angles(rows).min()
-            assert float_bits(polytope.min_pairwise_angle(rows)) == float_bits(expected)
+            assert bits(polytope.min_pairwise_angle(rows)) == bits(expected)
 
     def test_verify_geometry_reports_the_same_min_angle(self):
         w = make_cube(1000)
         check = verify_geometry(w)
         assert check.passed
-        assert float_bits(check.min_angle) == float_bits(
+        assert bits(check.min_angle) == bits(
             all_pair_angles(w.rows).min())
 
     def test_cube_1000_check_holds_only_the_gram_matrix(self):
-        # numpy reports its buffers to tracemalloc, so the bound is exact
         w = make_cube(1000)
-        tracemalloc.start()
-        tracemalloc.reset_peak()
-        try:
-            verify_geometry(w)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.25 * 1000 * 1000 * 8
+        assert traced_peak(verify_geometry, w) < 1.25 * 1000 * 1000 * 8
 
 
 class TestGeometryProperty:
-    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=80)
     @given(kind=st.sampled_from(ALL_KINDS), K=st.integers(2, 200),
            extra_dims=st.integers(0, 8), nudge_seed=st.integers(0, 2**32 - 1))
     def test_check_matches_brute_force(self, kind, K, extra_dims, nudge_seed):
@@ -301,30 +259,12 @@ class TestGeometryProperty:
             check = verify_geometry(head, tol=1e-10)
             assert check.passed is (head is w), check.message
             angles = all_pair_angles(head.rows)
-            assert float_bits(check.min_angle) == float_bits(angles.min())
+            assert bits(check.min_angle) == bits(angles.min())
             if kind is PolytopeKind.SIMPLEX:
                 norm_dev = np.abs(np.linalg.norm(head.rows, axis=1) - 1.0).max()
                 expected = max(norm_dev, np.abs(angles - w.phi).max())
-                assert float_bits(check.worst_deviation) == float_bits(expected)
+                assert bits(check.worst_deviation) == bits(expected)
         assert check.passed or check.message.startswith("pairwise angle deviates")
-
-
-def loop_orthoplex(K, d):
-    """Per-vertex loop reference for make_orthoplex."""
-    verts = np.zeros((K, d))
-    for i in range(K):
-        verts[i, i // 2] = 1.0 if i % 2 == 0 else -1.0
-    return verts
-
-
-def loop_cube(K, d):
-    """Per-coordinate loop reference for make_cube."""
-    scale = 1.0 / math.sqrt(d)
-    verts = np.empty((K, d))
-    for i in range(K):
-        for j in range(d):
-            verts[i, j] = scale if (i >> (d - 1 - j)) & 1 else -scale
-    return verts
 
 
 class TestInvariants:

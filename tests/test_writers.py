@@ -8,7 +8,6 @@ bits on edge-case inputs: absent classes, labels outside [0, K), zero-norm
 rows, signed zeros, subnormals, values near 1e+-300, nan and inf.
 """
 
-import csv
 import json
 import math
 
@@ -19,105 +18,20 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from polyhead import cli, metrics, network
 from polyhead.polytope import (ClassifierWeights, PolytopeKind, StructuralError, load_json,
                                make_cube, make_simplex, make_weights, save_json, to_dict)
-from test_metrics import readme_unit_view
+from reference import (bits, csv_writer_reference, json_dump_reference, mask_loop_reference,
+                       readme_unit_view, report_to_dict)
 
 SPECIAL = [0.0, -0.0, 5e-324, -2.2e-308, 1e-300, -1e300, 1e300, 1.7976931348623157e308,
            math.nan, math.inf, -math.inf]
 
 
-def csv_writer_reference(features, labels, normalized, path):
-    """The csv.writer loop export_scatter used to run, with the normalized
-    mode that wrote ``features_norm.csv``."""
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels)
-    if normalized:
-        norms = np.linalg.norm(features, axis=1, keepdims=True)
-        features = features / np.where(norms > 0, norms, 1.0)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label"] + [f"f{i}" for i in range(features.shape[1])])
-        for label, row in zip(labels, features):
-            writer.writerow([int(label)] + [repr(float(v)) for v in row])
-
-
-def mask_loop_reference(head, features, labels, predictions):
-    """The per-class mask loop geometry_report used to run."""
-    rows, _ = metrics.unit_rows(head)
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels)
-    norms = np.linalg.norm(features, axis=1)
-    degenerate = int((norms == 0).sum())
-    per_class, directions = [], []
-    for c in range(head.num_classes):
-        mask = (labels == c) & (norms > 0)
-        if not mask.any():
-            per_class.append(metrics.ClassStats(c, False, 0, math.nan, math.nan, None))
-            continue
-        unit = features[mask] / norms[mask, None]
-        angles = np.arccos(np.clip(unit @ rows[c], -1.0, 1.0))
-        mean_dir = unit.mean(axis=0)
-        mean_norm = np.linalg.norm(mean_dir)
-        mean_dir = mean_dir / mean_norm if mean_norm > 0 else None
-        per_class.append(metrics.ClassStats(c, True, int(mask.sum()),
-                                            float(angles.mean()), float(angles.std()),
-                                            mean_dir))
-        if mean_dir is not None:
-            directions.append(mean_dir)
-    if len(directions) < 2:
-        min_angle, no_pairs = math.pi, True
-    else:
-        dirs = np.vstack(directions)
-        gram = np.clip(dirs @ dirs.T, -1.0, 1.0)
-        iu = np.triu_indices(len(directions), k=1)
-        min_angle, no_pairs = float(np.arccos(gram[iu]).min()), False
-    return metrics.GeometryReport(per_class, head.phi, min_angle, no_pairs,
-                                  metrics.accuracy(predictions, labels), degenerate)
-
-
-def json_dump_reference(payload, path, **kwargs):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, **kwargs)
-
-
-def finite(value):
-    value = float(value)
-    return value if math.isfinite(value) else None
-
-
-def report_to_dict(report):
-    """The strict-JSON dict GeometryReport.to_dict used to build: a
-    non-finite float (an unknown phi, the angles of a class with no
-    samples) becomes None."""
-    return {
-        "phi": finite(report.phi),
-        "min_pairwise_mean_angle": finite(report.min_pairwise_mean_angle),
-        "no_pairs": report.no_pairs,
-        "accuracy": finite(report.accuracy),
-        "degenerate": report.degenerate,
-        "per_class": [
-            {
-                "label": c.label,
-                "present": c.present,
-                "count": c.count,
-                "mean_angle_to_weight": finite(c.mean_angle_to_weight),
-                "angle_std": finite(c.angle_std),
-                "mean_direction": None if c.mean_direction is None
-                else list(map(finite, c.mean_direction)),
-            }
-            for c in report.per_class
-        ],
-    }
-
-
 def report_bits(report):
-    """Every field of a report, floats as their bytes and types kept."""
-    def bits(*values):
-        return np.array(values, dtype=np.float64).tobytes()
+    """Every field of a report, floats as their bits and types kept."""
     return (report.no_pairs, report.degenerate,
-            bits(report.phi, report.min_pairwise_mean_angle, report.accuracy),
+            bits([report.phi, report.min_pairwise_mean_angle, report.accuracy]),
             [(c.label, c.present, type(c.count), c.count,
-              bits(c.mean_angle_to_weight, c.angle_std),
-              None if c.mean_direction is None else c.mean_direction.tobytes())
+              bits([c.mean_angle_to_weight, c.angle_std]),
+              None if c.mean_direction is None else bits(c.mean_direction))
              for c in report.per_class])
 
 
@@ -232,7 +146,7 @@ def grouped_inputs(draw):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # accuracy of no rows
 class TestGeometryReportGroupingProperty:
-    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=50)
     @given(inputs=grouped_inputs())
     def test_matches_mask_loop_bitwise(self, inputs):
         head, features, labels = inputs
@@ -334,8 +248,7 @@ class TestJsonMatchesJsonDump:
         again = network.load_checkpoint(tmp_path / "ckpt.json")
         assert again.head.rows.tobytes() == weights.rows.tobytes()
 
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(weights=head_files())
     def test_head_file_of_any_rows(self, tmp_path, weights):
         save_json(weights, tmp_path / "new.json")
