@@ -178,10 +178,8 @@ def evaluate(kind: LossKind, weights: ClassifierWeights, features: np.ndarray,
         past_pi = c_y < -cos_m  # theta_y + m > pi
         slope = np.where(past_pi, 0.0,
                          cos_m + sin_m * c_y / np.maximum(sin_y, SIN_FLOOR))
+        z[idx, labels] = np.where(past_pi, -1.0, c_y * cos_m - sin_y * sin_m)
     z *= scale
-    if m > 0.0:
-        z[idx, labels] = scale * np.where(past_pi, -1.0,
-                                          c_y * cos_m - sin_y * sin_m)
     per_sample = _cross_entropy(z, labels)
     z *= scale
     if m > 0.0:

@@ -8,6 +8,7 @@ reading of the normalized losses.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -43,50 +44,30 @@ class GeometryReport:
     degenerate: int  # zero-norm features excluded from angular stats
 
     def save(self, path) -> None:
-        """Write what ``json.dumps(..., indent=2, allow_nan=False)`` writes for
-        the report's fields, a non-finite float as null.  With ``indent`` set,
-        CPython 3.11's ``json`` encodes in pure Python, so the text is built here."""
-        classes = [_json_object([
-            ("label", str(c.label)),
-            ("present", str(c.present).lower()),
-            ("count", str(c.count)),
-            ("mean_angle_to_weight", _json_number(c.mean_angle_to_weight)),
-            ("angle_std", _json_number(c.angle_std)),
-            ("mean_direction", "null" if c.mean_direction is None else
-             _json_block("[]", _json_numbers(c.mean_direction.tolist()), 3)),
-        ], 2) for c in self.per_class]
-        Path(path).write_text(_json_object([
-            ("phi", _json_number(self.phi)),
-            ("min_pairwise_mean_angle", _json_number(self.min_pairwise_mean_angle)),
-            ("no_pairs", str(self.no_pairs).lower()),
-            ("accuracy", _json_number(self.accuracy)),
-            ("degenerate", str(self.degenerate)),
-            ("per_class", _json_block("[]", classes, 1)),
-        ], 0))
+        """Write the report as one line of strict JSON, a non-finite float as
+        null.  ``json.dumps`` with no indent runs the C encoder."""
+        Path(path).write_text(json.dumps({
+            "phi": _finite(self.phi),
+            "min_pairwise_mean_angle": _finite(self.min_pairwise_mean_angle),
+            "no_pairs": self.no_pairs,
+            "accuracy": _finite(self.accuracy),
+            "degenerate": self.degenerate,
+            "per_class": [{
+                "label": c.label,
+                "present": c.present,
+                "count": c.count,
+                "mean_angle_to_weight": _finite(c.mean_angle_to_weight),
+                "angle_std": _finite(c.angle_std),
+                # a unit mean, finite whenever it is present
+                "mean_direction": (None if c.mean_direction is None
+                                   else c.mean_direction.tolist()),
+            } for c in self.per_class],
+        }, allow_nan=False))
 
 
-def _json_numbers(values: List[float]) -> List[str]:
-    """Each float as ``json.dumps`` writes it, a non-finite one as null
-    (``v - v`` is 0.0 exactly when ``v`` is finite)."""
-    return [repr(v) if v - v == 0.0 else "null" for v in values]
-
-
-def _json_number(value) -> str:
-    return _json_numbers([float(value)])[0]
-
-
-def _json_block(brackets: str, items: List[str], depth: int) -> str:
-    """Rendered ``items`` laid out as ``json.dumps(..., indent=2)`` lays out
-    an array (``"[]"``) or object (``"{}"``) at nesting ``depth``."""
-    if not items:
-        return brackets
-    pad = "\n" + "  " * (depth + 1)
-    return (brackets[0] + pad + ("," + pad).join(items)
-            + "\n" + "  " * depth + brackets[1])
-
-
-def _json_object(pairs, depth: int) -> str:
-    return _json_block("{}", [f'"{key}": {value}' for key, value in pairs], depth)
+def _finite(value) -> Optional[float]:
+    value = float(value)
+    return value if math.isfinite(value) else None
 
 
 def accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:

@@ -3,6 +3,8 @@ import re
 import subprocess
 import sys
 
+import pytest
+
 from reference import ROOT
 
 
@@ -30,3 +32,17 @@ def test_grid_runs_every_config(tmp_path):
     files = re.findall(r"^[0-9a-f]{64}  (\S+)$", proc.stdout, re.M)
     assert len(files) == sum(1 for p in out.rglob("*") if p.is_file())
     assert len(commands) + len(files) == len(proc.stdout.splitlines())
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+def test_out_through_a_file_is_refused(tmp_path, under):
+    blocker = tmp_path / "grid"
+    blocker.write_text("x")
+    out = blocker / "sub" if under else blocker
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "artifact_grid.py"),
+                           "--src", str(ROOT / "src"), "--out", str(out)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {blocker} is not a directory\n"
+    assert blocker.read_text() == "x"

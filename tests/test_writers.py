@@ -10,6 +10,8 @@ rows, signed zeros, subnormals, values near 1e+-300, nan and inf.
 
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -33,6 +35,13 @@ def report_bits(report):
               bits([c.mean_angle_to_weight, c.angle_std]),
               None if c.mean_direction is None else bits(c.mean_direction))
              for c in report.per_class])
+
+
+def indented_view(path):
+    """What the README's ``python -m json.tool --indent 2`` prints for a file."""
+    proc = subprocess.run([sys.executable, "-m", "json.tool", "--indent", "2", str(path)],
+                          capture_output=True, text=True, timeout=60, check=True)
+    return proc.stdout
 
 
 def heads():
@@ -269,9 +278,10 @@ class TestJsonMatchesJsonDump:
         features, labels = edge_case_features(head, 6)
         report = metrics.geometry_report(head, features, labels, labels)
         report.save(tmp_path / "new.json")
-        json_dump_reference(report_to_dict(report), tmp_path / "old.json",
-                            indent=2, allow_nan=False)
+        json_dump_reference(report_to_dict(report), tmp_path / "old.json", allow_nan=False)
         assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
+        assert indented_view(tmp_path / "new.json") == json.dumps(
+            report_to_dict(report), indent=2, allow_nan=False) + "\n"
 
     @pytest.mark.parametrize("present", ["all", "two"])
     def test_geometry_report_many_classes(self, tmp_path, present):
@@ -291,9 +301,10 @@ class TestJsonMatchesJsonDump:
         assert report.no_pairs == (present == "two")
         assert (report.per_class[4].mean_direction is None) == (present == "two")
         report.save(tmp_path / "new.json")
-        json_dump_reference(report_to_dict(report), tmp_path / "old.json",
-                            indent=2, allow_nan=False)
+        json_dump_reference(report_to_dict(report), tmp_path / "old.json", allow_nan=False)
         assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
+        assert indented_view(tmp_path / "new.json") == json.dumps(
+            report_to_dict(report), indent=2, allow_nan=False) + "\n"
 
     def test_config_resolved(self, tmp_path):
         config = {"seed": 5, "epochs": 1, "batch_size": 64, "lr": 1e-300,

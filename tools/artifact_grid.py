@@ -139,7 +139,11 @@ def main(argv=None) -> int:
     if not (src / "polyhead" / "__init__.py").is_file():
         print(f"error: no polyhead package under {src}", file=sys.stderr)
         return 2
-    if out.exists() and any(out.iterdir()):
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():  # --out is a file, or lies under one
+        print(f"error: {existing} is not a directory", file=sys.stderr)
+        return 2
+    if existing == out and any(out.iterdir()):
         print(f"error: {out} is not empty", file=sys.stderr)
         return 2
     # one BLAS thread, read when numpy is first imported, for stable bits
