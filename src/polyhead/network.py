@@ -109,7 +109,10 @@ def forward(model: MlpModel, batch: np.ndarray):
     against the head.  Each layer's product is ``w @ act.T``, which gives
     BLAS the row count as its M dimension, where OpenBLAS runs a full-set
     product faster than ``act @ w.T`` (see README); ``np.add`` writes it back
-    in C order with the bias, so every cached array stays C-contiguous."""
+    in C order with the bias, so every cached array stays C-contiguous.
+    PReLU is ``slope * min(pre, 0) + max(pre, 0)`` (He et al., arXiv
+    1502.01852): no per-entry branch, the same value as ``pre if pre > 0
+    else slope * pre``, and a zero output may differ only in its sign."""
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.input_dim:
         raise ValueError(f"batch shape {x.shape}, expected (N, {model.input_dim})")
@@ -118,7 +121,9 @@ def forward(model: MlpModel, batch: np.ndarray):
     for layer in model.layers:
         pre = np.add((layer.w @ act.T).T, layer.b, out=np.empty((len(act), len(layer.b))))
         cache.append((act, pre))
-        act = np.where(pre > 0, pre, layer.slope * pre)
+        act = np.minimum(pre, 0.0)
+        act *= layer.slope
+        act += np.maximum(pre, 0.0)
     return act, cache
 
 
@@ -148,7 +153,9 @@ def backward(model: MlpModel, cache, grad_features: np.ndarray,
         if pre.shape[1] != layer.w.shape[0] or x_in.shape[1] != layer.w.shape[1]:
             raise CacheError(f"cache shapes stale at layer {i}")
         neg = pre < 0
-        grad_pre = grad_act * np.where(neg, layer.slope, 1.0)
+        grad_pre = neg * layer.slope
+        grad_pre += ~neg
+        grad_pre *= grad_act
         grad_slope = (grad_act * pre * neg).sum(axis=0)
         grads[:0] = [grad_pre.T @ x_in, grad_pre.sum(axis=0), grad_slope]
         if i:  # the gradient of the inputs is not needed

@@ -1,7 +1,8 @@
 """The float64 spec that the tests compare ``polyhead`` against.
 
 Each function here is a plain numpy reference of one step: the polytope
-makers as loops, the MLP forward as loops, the loss kernel with its margin
+makers as loops, the MLP forward as loops, PReLU and its backward factor
+as the per-entry choice ``np.where``, the loss kernel with its margin
 rule and normalization Jacobians written out, finite differences, the
 geometry report's per-class mask loop, and the writers as ``csv.writer``
 and ``json.dump`` ran them.  They are written to be read, not to be fast,
@@ -252,6 +253,29 @@ def well_conditioned_batches(kind, head, n, seed):
 
 
 # -- the whole model ---------------------------------------------------------
+
+def prelu_reference(pre, slope):
+    """PReLU as a per-entry choice: ``pre`` where it is positive, else
+    ``slope * pre``."""
+    return np.where(pre > 0, pre, slope * pre)
+
+
+def backward_reference(model, cache, grad_features):
+    """``network.backward`` with the PReLU factor as the per-entry choice
+    ``np.where(neg, slope, 1.0)``, every other expression as it stands there."""
+    grads = []
+    grad_act = np.asarray(grad_features, dtype=np.float64)
+    for i in reversed(range(len(model.layers))):
+        layer = model.layers[i]
+        x_in, pre = cache[i]
+        neg = pre < 0
+        grad_pre = grad_act * np.where(neg, layer.slope, 1.0)
+        grad_slope = (grad_act * pre * neg).sum(axis=0)
+        grads[:0] = [grad_pre.T @ x_in, grad_pre.sum(axis=0), grad_slope]
+        if i:
+            grad_act = grad_pre @ layer.w
+    return grads
+
 
 def naive_forward(model, x):
     """Explicit-loop re-implementation of the MLP forward pass."""

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import os
 import re
 import shutil
 import subprocess
@@ -41,6 +42,26 @@ def test_one_tiny_pair_of_the_same_tree(tmp_path):
     # the benchmark's sources are left as they were; it writes only under _work
     assert {p: p.read_bytes() for p in (tree / "bench").rglob("*")
             if p.is_file() and "_work" not in p.parts} == bench_files
+
+
+def test_a_run_that_does_not_finish_is_killed(tmp_path, monkeypatch, capsys):
+    tree = tmp_path / "tree"
+    (tree / "bench").mkdir(parents=True)
+    pid_file = tmp_path / "pid"
+    (tree / "bench" / "run.py").write_text(
+        "import os, pathlib, time\n"
+        f"pathlib.Path({str(pid_file)!r}).write_text(str(os.getpid()))\n"
+        "time.sleep(600)\n")
+    shutil.copy(ROOT / "BENCHMARK.json", tree)
+    tool = load_tool()
+    monkeypatch.setattr(tool, "SLACK_S", 2.0)
+
+    assert tool.main(["--parent", str(tree), "--change", str(tree),
+                      "--workload", "many_class_train", "--pairs", "1",
+                      "--seconds", "0.25"]) == 2
+    assert "did not finish within 2.5 s and was killed" in capsys.readouterr().err
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(pid_file.read_text()), 0)
 
 
 def load_tool():

@@ -16,7 +16,52 @@ from polyhead.network import (AdamState, CacheError, TrainConfig, adam_step,
                               backward, classify, forward, init_model, parameters,
                               predict, score_blocks, train)
 from polyhead.polytope import ClassifierWeights, make_cube, make_orthoplex, make_simplex
-from reference import full_model_grad_check, naive_forward, resolvable_models, traced_peak
+from reference import (backward_reference, bits, eye_head, full_model_grad_check,
+                       naive_forward, prelu_reference, resolvable_models, traced_peak)
+
+# PReLU slopes in [-2, 2], with 0, -0 and 1 as draws of their own, and the
+# pre-activations planted through a zero weight row's bias: zeros and subnormals
+PRELU_SLOPES = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(-2.0, 2.0))
+PLANTED_PRE = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308])
+
+
+@st.composite
+def prelu_cases(draw):
+    """(model, x, grad_features): one to three layers whose units have drawn
+    slopes and mixed-sign biases.  A drawn subset of each layer's units has
+    a zero weight row and a planted bias, so that unit's pre-activation is
+    the planted value on every row.  A fifth of grad_features is zero."""
+    rows = draw(st.sampled_from([1, 513]) | st.integers(1, 40))
+    input_dim = draw(st.integers(1, 8))
+    widths = draw(st.lists(st.integers(1, 10), min_size=1, max_size=3))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    model = init_model(input_dim, widths, eye_head(widths[-1]), seed=seed)
+    rng = np.random.default_rng(seed)
+    for layer in model.layers:
+        width = len(layer.b)
+        layer.slope = np.array(draw(st.lists(PRELU_SLOPES, min_size=width,
+                                             max_size=width)))
+        layer.b = rng.normal(size=width)
+        planted = rng.random(width) < 0.3
+        count = int(planted.sum())
+        layer.w[planted] = 0.0
+        layer.b[planted] = draw(st.lists(PLANTED_PRE, min_size=count, max_size=count))
+    x = rng.normal(size=(rows, input_dim))
+    grad = rng.normal(size=(rows, widths[-1]))
+    grad[rng.random(grad.shape) < 0.2] = 0.0
+    return model, x, grad
+
+
+def equal_but_for_zero_signs(actual, expected):
+    """Equal in value, and bit for bit wherever the value is not zero."""
+    nonzero = actual != 0
+    return (np.array_equal(actual, expected)
+            and bits(actual[nonzero]) == bits(expected[nonzero]))
+
+
+def layer_outputs(feats, cache):
+    """Each layer's PReLU output: the next layer's input, the features last."""
+    return [act for act, _ in cache[1:]] + [feats]
 
 
 class TestInit:
@@ -110,9 +155,31 @@ class TestForward:
         x = np.random.default_rng(rows).random((rows, 784))
         ref = x
         for layer in model.layers:
-            p = ref @ layer.w.T + layer.b
-            ref = np.where(p > 0, p, layer.slope * p)
+            ref = prelu_reference(ref @ layer.w.T + layer.b, layer.slope)
         assert np.abs(forward(model, x)[0] - ref).max() < 1e-12
+
+    @settings(max_examples=60)
+    @given(case=prelu_cases())
+    def test_prelu_matches_the_per_entry_choice(self, case):
+        # a zero output may differ in sign: where slope * pre is -0 (a slope
+        # of 0, or a product that underflows), forward adds max(pre, 0) = +0
+        model, x, _ = case
+        feats, cache = forward(model, x)
+        for layer, (_, pre), act in zip(model.layers, cache, layer_outputs(feats, cache)):
+            planted = ~layer.w.any(axis=1)
+            assert (pre[:, planted] == layer.b[planted]).all()
+            assert equal_but_for_zero_signs(act, prelu_reference(pre, layer.slope))
+
+    @settings(max_examples=30)
+    @given(case=prelu_cases())
+    def test_prelu_leaves_the_cached_pre_activations(self, case):
+        # backward reads each pre: a PReLU written into it would hand backward
+        # the outputs instead
+        model, x, _ = case
+        feats, cache = forward(model, x)
+        for layer, (act, pre), out in zip(model.layers, cache, layer_outputs(feats, cache)):
+            assert not np.shares_memory(pre, out) and not np.shares_memory(pre, feats)
+            assert bits(pre) == bits(np.add((layer.w @ act.T).T, layer.b))
 
 
 class TestBackward:
@@ -150,6 +217,20 @@ class TestBackward:
         feats, _ = forward(model, x)
         assert losses.evaluate(kind, model.head, feats, y).per_sample.min() > 1e-6
         assert full_model_grad_check(model, x, y, kind) < 1e-5
+
+    @settings(max_examples=60)
+    @given(case=prelu_cases())
+    def test_prelu_factor_matches_the_per_entry_choice(self, case):
+        # neg * slope + ~neg is np.where(neg, slope, 1.0) except on a negative
+        # entry whose slope is -0, where -0 + 0 gives +0.  So grad_pre can
+        # differ only in the sign of a zero, and so can every later result: a
+        # zero of either sign times a finite number is a zero, and added to a
+        # nonzero partial sum leaves that sum's bits as they were
+        model, x, grad = case
+        _, cache = forward(model, x)
+        for got, want in zip(backward(model, cache, grad),
+                             backward_reference(model, cache, grad), strict=True):
+            assert equal_but_for_zero_signs(got, want)
 
     def test_dead_unit_zero_slope_kills_gradient(self):
         model = init_model(2, [2, 1], make_simplex(2), seed=13)

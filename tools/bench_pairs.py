@@ -17,7 +17,8 @@ its median moved by more than the parent's IQR, ``worse`` when its median is
 worse than the parent's by more than the metric's ``bound`` (a share of the
 parent's median), and ``-`` otherwise.  The per-run results follow as one JSON
 line.  The exit code is 1 when a run reported a failed command, and 2
-when a run did not finish.
+when a run did not finish: it exited with an error, or it ran longer than
+twice its ``--seconds`` plus ``SLACK_S`` and was killed.
 """
 
 from __future__ import annotations
@@ -30,14 +31,22 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+# What a run may take beyond its timed loop: start-up, set-ups of at least 3 s,
+# calibration and the pass that runs past the deadline, each a few seconds
+SLACK_S = 120.0
 
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float, size: str) -> dict:
     """The result line of one ``bench/run.py`` run in ``tree``."""
-    proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
-                           "--seed", str(seed), "--seconds", str(seconds),
-                           "--size", size],
-                          cwd=tree, capture_output=True, text=True)
+    timeout = 2.0 * seconds + SLACK_S
+    try:
+        proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
+                               "--seed", str(seed), "--seconds", str(seconds),
+                               "--size", size],
+                              cwd=tree, capture_output=True, text=True, timeout=timeout)
+    except subprocess.TimeoutExpired:
+        raise RuntimeError(f"bench/run.py in {tree} did not finish within "
+                           f"{timeout:g} s and was killed") from None
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"bench/run.py in {tree} exited {proc.returncode}: "
