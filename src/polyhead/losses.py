@@ -15,7 +15,8 @@ and not a field, and ``s``, ``m`` are its ``kappa``, ``m`` (else 1 and 0):
   NormScaled      yes  yes  kappa  0
   AngularMargin   yes  yes  kappa  m
 
-The scaled variants read as von Mises-Fisher class-conditionals with
+AngularMargin is a NormScaled with a margin, so at m = 0 it runs NormScaled's
+loss.  The scaled variants read as von Mises-Fisher class-conditionals with
 concentration kappa; kappa defaults to 30 and is never trained.
 """
 
@@ -50,11 +51,6 @@ class MarginError(ValueError):
     """Margin outside [0, pi)."""
 
 
-def _check_kappa(kappa: float) -> None:
-    if not (math.isfinite(kappa) and kappa > 0):
-        raise ValueError(f"kappa must be finite and positive, got {kappa}")
-
-
 @dataclass(frozen=True)
 class PlainCE:
     normalizes = (False, False)
@@ -71,17 +67,16 @@ class NormScaled:
     kappa: float = KAPPA_DEFAULT
 
     def __post_init__(self):
-        _check_kappa(self.kappa)
+        if not (math.isfinite(self.kappa) and self.kappa > 0):
+            raise ValueError(f"kappa must be finite and positive, got {self.kappa}")
 
 
 @dataclass(frozen=True)
-class AngularMargin:
-    normalizes = (True, True)
-    kappa: float = KAPPA_DEFAULT
+class AngularMargin(NormScaled):
     m: float = 0.0
 
     def __post_init__(self):
-        _check_kappa(self.kappa)
+        super().__post_init__()
         if not (0.0 <= self.m < math.pi):
             raise MarginError(f"margin must lie in [0, pi), got {self.m}")
 

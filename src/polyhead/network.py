@@ -173,23 +173,23 @@ class AdamState:
 
 def adam_step(model: MlpModel, grads: List[np.ndarray], state: AdamState):
     """In-place Adam update with bias correction of ``parameters(model)``;
-    fixed heads untouched."""
+    fixed heads untouched.  Nothing moves unless every gradient fits."""
     params = parameters(model)
+    if len(grads) != len(params):
+        raise ValueError("gradient/parameter count mismatch")
+    for p, g in zip(params, grads):
+        if g.shape != p.shape:
+            raise ValueError(f"gradient shape {g.shape} != parameter {p.shape}")
     if not state.m:
         state.m = [np.zeros_like(p) for p in params]
         state.v = [np.zeros_like(p) for p in params]
-    if len(grads) != len(params):
-        raise ValueError("gradient/parameter count mismatch")
     state.t += 1
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        if g.shape != p.shape:
-            raise ValueError(f"gradient shape {g.shape} != parameter {p.shape}")
         m += (1.0 - ADAM_BETA1) * (g - m)
         v += (1.0 - ADAM_BETA2) * (g * g - v)
         m_hat = m / (1.0 - ADAM_BETA1 ** state.t)
         v_hat = v / (1.0 - ADAM_BETA2 ** state.t)
         p -= state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    return model, state
 
 
 def score_blocks(n: int) -> List[tuple]:

@@ -200,17 +200,6 @@ def make_weights(kind: PolytopeKind, num_classes: int) -> ClassifierWeights:
     return _MAKERS[kind](num_classes)
 
 
-def check_rows(values, shape: Optional[tuple] = None) -> np.ndarray:
-    """``values`` as float64 head rows.  Raises StructuralError unless they
-    are a finite 2-D array with at least 2 rows, of ``shape`` when given."""
-    rows = np.asarray(values, dtype=np.float64)
-    if not (rows.ndim == 2 and rows.shape[0] >= 2 and rows.shape == (shape or rows.shape)
-            and np.all(np.isfinite(rows))):
-        raise StructuralError(f"head rows must be finite, at least 2 and of shape "
-                              f"{shape or '(K, d)'}; got shape {rows.shape}")
-    return rows
-
-
 def _extreme_angles(rows: np.ndarray, largest: bool = False) -> np.ndarray:
     """The smallest angle between distinct rows (at least two), after the
     largest when ``largest``: the arccos of the extreme off-diagonal cosines
@@ -243,13 +232,13 @@ def verify_geometry(weights: ClassifierWeights, tol: float = DEFAULT_TOL) -> Geo
     every pairwise angle must, and as fl(a - phi) is monotone in a, the
     smallest and largest angles give the worst deviation.  A 2-class
     orthoplex has only the antipodal pair, whose angle is pi rather than
-    phi = pi/2; that single configuration is accepted as-is.
+    phi = pi/2; that single configuration is accepted as-is.  Every test
+    fails on NaN, so a non-finite row, like a zero one, fails the check.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
-    rows = check_rows(weights.rows)
-    norm_dev = float(np.max(np.abs(np.linalg.norm(rows, axis=1) - 1.0)))
-    angles = _extreme_angles(rows, largest=weights.kind is PolytopeKind.SIMPLEX)
+    norm_dev = float(np.max(np.abs(np.linalg.norm(weights.rows, axis=1) - 1.0)))
+    angles = _extreme_angles(weights.rows, largest=weights.kind is PolytopeKind.SIMPLEX)
     min_angle = angles[-1].item()
     needed = embedding_dim(weights.kind, weights.num_classes)
     if needed > weights.dim:
@@ -266,13 +255,13 @@ def verify_geometry(weights: ClassifierWeights, tol: float = DEFAULT_TOL) -> Geo
         angle_dev = float(np.max(np.abs(angles - phi)))
 
     worst = max(norm_dev, angle_dev, phi_dev)
-    if not phi_dev <= tol:  # a NaN phi fails too
+    if not phi_dev <= tol:
         return GeometryCheck(False, worst, min_angle,
                              f"stored phi {weights.phi!r} != closed form {phi!r}")
-    if norm_dev > tol:
+    if not norm_dev <= tol:
         return GeometryCheck(False, worst, min_angle,
                              f"row norm deviates by {norm_dev:.3e}")
-    if angle_dev > tol:
+    if not angle_dev <= tol:
         return GeometryCheck(False, worst, min_angle,
                              f"pairwise angle deviates by {angle_dev:.3e}")
     return GeometryCheck(True, worst, min_angle)
@@ -336,11 +325,14 @@ def to_dict(weights: ClassifierWeights) -> dict:
 
 
 def from_dict(payload: dict, trainable: bool = False) -> ClassifierWeights:
-    """The head a JSON payload describes, its rows checked against the header;
-    read-only unless ``trainable``."""
+    """The head a JSON payload describes, its rows of the header's shape (K, d),
+    K >= 2; read-only unless ``trainable``."""
     kind = PolytopeKind(json_field(payload, "kind", str))
-    rows = check_rows(decode_array(payload.get("rows"), 2, MAX_HEAD_ENTRIES, "rows"),
-                      (json_field(payload, "K"), json_field(payload, "d")))
+    rows = decode_array(payload.get("rows"), 2, MAX_HEAD_ENTRIES, "rows")
+    shape = (json_field(payload, "K"), json_field(payload, "d"))
+    if rows.shape != shape or shape[0] < 2:
+        raise StructuralError(f"head rows must be finite, at least 2 and of shape "
+                              f"{shape}; got shape {rows.shape}")
     return ClassifierWeights(kind, rows, json_field(payload, "phi", float), trainable)
 
 

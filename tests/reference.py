@@ -121,10 +121,10 @@ def switches_reference(kind):
         return False, False, 1.0, 0.0
     if isinstance(kind, FixedSoftmax):
         return False, True, 1.0, 0.0
-    if isinstance(kind, NormScaled):
-        return True, True, kind.kappa, 0.0
     if isinstance(kind, AngularMargin):
         return True, True, kind.kappa, kind.m
+    if isinstance(kind, NormScaled):
+        return True, True, kind.kappa, 0.0
     raise TypeError(f"unknown loss kind {kind!r}")
 
 

@@ -64,6 +64,20 @@ def test_a_run_that_does_not_finish_is_killed(tmp_path, monkeypatch, capsys):
         os.kill(int(pid_file.read_text()), 0)
 
 
+def test_a_change_without_a_benchmark_spec_is_a_usage_error(tmp_path, capsys):
+    tree = tmp_path / "tree"
+    (tree / "bench").mkdir(parents=True)
+    (tree / "bench" / "run.py").write_text("raise SystemExit(3)\n")
+    with pytest.raises(SystemExit) as exit_info:
+        load_tool().main(["--parent", str(tree), "--change", str(tree),
+                          "--workload", "many_class_train"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].endswith(f"error: --change {tree.resolve()} has no "
+                                         "BENCHMARK.json")
+    assert "Traceback" not in err
+
+
 def load_tool():
     spec = importlib.util.spec_from_file_location("bench_pairs",
                                                   ROOT / "tools" / "bench_pairs.py")

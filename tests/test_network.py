@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from polyhead import losses, network, polytope
-from polyhead.data import make_blobs
+from polyhead.data import batches, make_blobs
 from polyhead.network import (AdamState, CacheError, TrainConfig, adam_step,
                               backward, classify, forward, init_model, parameters,
                               predict, score_blocks, train)
@@ -295,6 +295,41 @@ class TestAdam:
         v_hat = g * g
         expected = w_before - 0.01 * m_hat / (np.sqrt(v_hat) + network.ADAM_EPS)
         assert np.allclose(model.layers[0].w, expected, atol=1e-15)
+        # at t=2, Kingma & Ba (arXiv 1412.6980) Algorithm 1: both moments decay
+        # at their own rate and are divided by 1 - beta^2
+        b1, b2 = network.ADAM_BETA1, network.ADAM_BETA2
+        w_first = model.layers[0].w.copy()
+        g2 = np.array([[-1.0, 3.0], [2e-3, 0.5]])
+        adam_step(model, [g2, np.zeros(2), np.zeros(2)], state)
+        m = b1 * (1 - b1) * g + (1 - b1) * g2
+        v = b2 * (1 - b2) * g * g + (1 - b2) * g2 * g2
+        m_hat, v_hat = m / (1 - b1 ** 2), v / (1 - b2 ** 2)
+        expected = w_first - 0.01 * m_hat / (np.sqrt(v_hat) + network.ADAM_EPS)
+        assert state.t == 2
+        assert np.allclose(model.layers[0].w, expected, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("grads_of, message", [
+        (lambda model, cache, res: backward(model, cache, res.grad_features,
+                                            res.grad_weights)[:-1],
+         "gradient/parameter count mismatch"),
+        (lambda model, cache, res: backward(model, cache, res.grad_features,
+                                            res.grad_weights)[:-1] + [np.zeros(7)],
+         re.escape("gradient shape (7,) != parameter (4, 2)")),
+        (lambda model, cache, res: backward(model, cache, res.grad_features),
+         "a trainable head requires its grad_rows"),
+    ], ids=["count", "shape", "grad_rows"])
+    def test_a_refused_step_moves_nothing(self, grads_of, message):
+        # the last gradient, the trainable head's, is the one that is wrong
+        model = init_model(3, [4, 2], make_orthoplex(4), seed=24, trainable=True)
+        rng = np.random.default_rng(25)
+        feats, cache = forward(model, rng.normal(size=(5, 3)))
+        res = losses.evaluate(losses.PlainCE(), model.head, feats, rng.integers(0, 4, 5))
+        before = [bits(p) for p in parameters(model)]
+        state = AdamState(lr=0.1)
+        with pytest.raises(ValueError, match=message):
+            adam_step(model, grads_of(model, cache, res), state)
+        assert [bits(p) for p in parameters(model)] == before
+        assert (state.t, state.m, state.v) == (0, [], [])
 
     def test_fixed_head_untouched(self):
         w = make_simplex(3)
@@ -491,6 +526,29 @@ class TestTrain:
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(network.DivergenceError, match=where):
             train(model, blobs, cfg)
+
+    @pytest.mark.parametrize("trainable", [False, True])
+    def test_two_epochs_equal_a_hand_loop_over_each_epochs_batches(self, trainable):
+        blobs = make_blobs(3, 3, 20, 1.0, 6.0, seed=66)
+        cfg = TrainConfig(loss=losses.AngularMargin(30.0, 0.4), epochs=2, seed=67,
+                          batch_size=16, lr=0.01)
+        model, hand = (init_model(3, [5, 2], make_simplex(3), seed=68,
+                                  trainable=trainable) for _ in range(2))
+        state, log = AdamState(lr=cfg.lr), []
+        for epoch in range(cfg.epochs):
+            loss_sum, correct = 0.0, 0
+            for batch in batches(blobs, cfg.batch_size, cfg.seed, epoch):
+                feats, cache = forward(hand, batch.inputs)
+                res = losses.evaluate(cfg.loss, hand.head, feats, batch.labels)
+                loss_sum += res.value * len(batch)
+                correct += int((classify(hand.head, feats) == batch.labels).sum())
+                adam_step(hand, backward(hand, cache, res.grad_features,
+                                         res.grad_weights), state)
+            log.append(network.EpochStats(epoch, loss_sum / len(blobs),
+                                          correct / len(blobs)))
+        _, trained_log = train(model, blobs, cfg)
+        assert trained_log == log
+        assert [bits(p) for p in parameters(model)] == [bits(p) for p in parameters(hand)]
 
     def test_label_overflow(self):
         w, blobs, model, cfg = self._blob_setup()

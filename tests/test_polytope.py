@@ -197,6 +197,17 @@ class TestVerifyGeometry:
         assert not check.passed
         assert check.min_angle == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
+    @pytest.mark.parametrize("maker", [make_simplex, make_orthoplex, make_cube])
+    def test_a_non_finite_or_zero_row_fails(self, maker, value):
+        w = maker(8)
+        rows = w.rows.copy()
+        rows[3] = value
+        with np.errstate(invalid="ignore"):  # inf * 0 in the Gram matrix
+            check = verify_geometry(ClassifierWeights(w.kind, rows, w.phi), tol=1e-10)
+        assert not check.passed
+        assert check.message.startswith("row norm deviates by")
+
 
 class TestMinPairwiseAngle:
     def test_matches_min_of_all_angles_bitwise(self):

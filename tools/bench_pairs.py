@@ -88,6 +88,8 @@ def main(argv=None) -> int:
     for side, tree in trees.items():
         if not (tree / "bench" / "run.py").is_file():
             parser.error(f"--{side} {tree} has no bench/run.py")
+    if not (trees["change"] / "BENCHMARK.json").is_file():
+        parser.error(f"--change {trees['change']} has no BENCHMARK.json")
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
