@@ -130,13 +130,6 @@ _EVAL_BLOBS = {"classes": None, "dim": 2, "per_class": 100, "spread": 1.0,
                "separation": 6.0, "seed": 0}
 
 
-def _tolerance(text: str) -> float:
-    tol = float(text)
-    if not (math.isfinite(tol) and tol >= 0):
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
-    return tol
-
-
 def _score(model: network.MlpModel, dataset: datamod.LabeledBatch) -> tuple:
     """The model's features of the whole dataset and their geometry report.
     A model whose features, or their norms, are not finite is a ConfigError."""
@@ -172,7 +165,7 @@ def cmd_gen_weights(args) -> int:
 def cmd_check(args) -> int:
     with _reading():
         weights = load_json(args.weights)
-    check = verify_geometry(weights, args.tol)
+        check = verify_geometry(weights, args.tol)
     status = "PASS" if check.passed else "FAIL"
     print(f"{status} worst_deviation={check.worst_deviation:.3e} "
           f"min_angle={check.min_angle:.10f}")
@@ -293,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="verify a weights file")
     p.add_argument("--weights", required=True)
-    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("train", help="train from a JSON config")

@@ -129,8 +129,6 @@ def make_blobs(num_classes: int, dim: int, per_class: int, spread: float,
     inputs together (a spread of 1e308 overflows).  Values are unbounded
     reals, unlike the [0,1] pixel datasets.
     """
-    if num_classes < 2:
-        raise ValueError(f"need at least 2 classes, got {num_classes}")
     if dim < 1:
         raise ValueError(f"dim must be positive, got {dim}")
     if per_class < 1:

@@ -118,7 +118,8 @@ def unit_rows(head: ClassifierWeights):
     return _normalize(head.rows, "trainable head row")
 
 
-def _check_labels(labels: np.ndarray, num_classes: int) -> np.ndarray:
+def check_labels(labels: np.ndarray, num_classes: int) -> np.ndarray:
+    """``labels`` as int64; a LabelError unless each lies in [0, num_classes)."""
     labels = np.asarray(labels)
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= num_classes:
         raise LabelError(f"labels must lie in [0, {num_classes})")
@@ -160,7 +161,7 @@ def evaluate(kind: LossKind, weights: ClassifierWeights, features: np.ndarray,
         raise DimensionError(f"feature dim {f.shape} != head dim {weights.dim}")
     if normalize_features:
         f, norms = _normalize(f, "feature")
-    labels = _check_labels(labels, weights.num_classes)
+    labels = check_labels(labels, weights.num_classes)
 
     # z holds the logits, then their gradient: cosines when both g and h
     # normalize, scaled in place, through _cross_entropy, and back to dL/dz

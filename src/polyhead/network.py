@@ -220,9 +220,7 @@ def predict(model: MlpModel, batch: np.ndarray) -> np.ndarray:
 
 def train(model: MlpModel, data: LabeledBatch, config: TrainConfig):
     """Shuffled mini-batch training; deterministic for a fixed seed."""
-    if data.labels.max() >= model.head.num_classes:
-        raise losses.LabelError(
-            f"label {data.labels.max()} >= K={model.head.num_classes}")
+    losses.check_labels(data.labels, model.head.num_classes)
     state = AdamState(lr=config.lr)
     log = []
     for epoch in range(config.epochs):

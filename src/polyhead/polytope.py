@@ -27,6 +27,8 @@ DEFAULT_TOL = 1e-10
 MAX_HEAD_ENTRIES = 1 << 24
 # Simplex vertices simplex_rows builds at a time
 SIMPLEX_BLOCK_ROWS = 128
+# Entries of each Gram matrix block of _extreme_angles: one block up to K = 2048
+GRAM_BLOCK_ENTRIES = 1 << 22
 # json_field's word for each JSON kind, keyed by the type json.load gives it
 _JSON_KINDS = {int: "integer", float: "number in float range", bool: "true/false",
                str: "string", dict: "object", list: "list"}
@@ -202,20 +204,23 @@ def make_weights(kind: PolytopeKind, num_classes: int) -> ClassifierWeights:
 
 def _extreme_angles(rows: np.ndarray, largest: bool = False) -> np.ndarray:
     """The smallest angle between distinct rows (at least two), after the
-    largest when ``largest``: the arccos of the extreme off-diagonal cosines
-    of the K x K Gram matrix, the only K x K array built.  numpy computes
-    ``A @ A.T`` of a C-contiguous ``A`` as one symmetric BLAS product (syrk), so
-    the matrix is symmetric bit for bit and its reductions with the diagonal
-    masked are those of its upper triangle; a strided view's need not be."""
+    largest when ``largest``: the arccos of the extreme off-diagonal cosines of
+    the Gram matrix, built in row blocks of at most GRAM_BLOCK_ENTRIES entries.
+    numpy computes ``A[0:K] @ A.T`` of a C-contiguous ``A`` as one syrk product,
+    so a one-block matrix is symmetric bit for bit and its masked reductions
+    are those of its upper triangle; a strided view's, or a block's, need not be."""
     rows = np.ascontiguousarray(rows)
-    gram = rows @ rows.T
-    cosines = []
-    if largest:
-        np.fill_diagonal(gram, np.inf)
-        cosines.append(gram.min())
-    np.fill_diagonal(gram, -np.inf)
-    cosines.append(gram.max())
-    return np.arccos(np.clip(cosines, -1.0, 1.0))
+    step = max(1, GRAM_BLOCK_ENTRIES // len(rows))
+    low, high = np.inf, -np.inf
+    for start in range(0, len(rows), step):
+        gram = rows[start:start + step] @ rows.T
+        if largest:  # the block's diagonal starts at its column ``start``
+            np.fill_diagonal(gram[:, start:], np.inf)
+            low = np.minimum(low, gram.min())
+        np.fill_diagonal(gram[:, start:], -np.inf)
+        high = np.maximum(high, gram.max())
+        del gram  # freed before the next block is built
+    return np.arccos(np.clip([low, high] if largest else [high], -1.0, 1.0))
 
 
 def min_pairwise_angle(rows: np.ndarray) -> float:
@@ -238,7 +243,8 @@ def verify_geometry(weights: ClassifierWeights, tol: float = DEFAULT_TOL) -> Geo
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
     norm_dev = float(np.max(np.abs(np.linalg.norm(weights.rows, axis=1) - 1.0)))
-    angles = _extreme_angles(weights.rows, largest=weights.kind is PolytopeKind.SIMPLEX)
+    with np.errstate(invalid="ignore"):  # inf * 0 in the Gram matrix of an inf row
+        angles = _extreme_angles(weights.rows, largest=weights.kind is PolytopeKind.SIMPLEX)
     min_angle = angles[-1].item()
     needed = embedding_dim(weights.kind, weights.num_classes)
     if needed > weights.dim:

@@ -2,13 +2,13 @@
 
 Each function here is a plain numpy reference of one step: the polytope
 makers as loops, the MLP forward as loops, PReLU and its backward factor
-as the per-entry choice ``np.where``, the loss kernel with its margin
-rule and normalization Jacobians written out, finite differences, the
-geometry report's per-class mask loop, and the writers as ``csv.writer``
-and ``json.dump`` ran them.  They are written to be read, not to be fast,
-and the tests hold ``src`` to their bits or to a stated tolerance.  A
-helper lives here when a test compares ``src`` against it, or when two or
-more test modules use it.
+as the per-entry choice ``np.where``, Adam as Kingma & Ba's Algorithm 1,
+the loss kernel with its margin rule and normalization Jacobians written
+out, finite differences, the geometry report's per-class mask loop, and
+the writers as ``csv.writer`` and ``json.dump`` ran them.  They are
+written to be read, not to be fast, and the tests hold ``src`` to their
+bits or to a stated tolerance.  A helper lives here when a test compares
+``src`` against it, or when two or more test modules use it.
 """
 
 import csv
@@ -84,6 +84,20 @@ def all_pair_angles(rows):
     rows = np.ascontiguousarray(rows)
     gram = np.clip(rows @ rows.T, -1.0, 1.0)
     return np.arccos(gram[np.triu_indices(rows.shape[0], k=1)])
+
+
+def whole_gram_angles(rows, largest=False):
+    """The smallest angle between distinct unit rows, after the largest when
+    ``largest``, from one reduction of the whole K x K Gram matrix."""
+    rows = np.ascontiguousarray(rows)
+    gram = rows @ rows.T
+    cosines = []
+    if largest:
+        np.fill_diagonal(gram, np.inf)
+        cosines.append(gram.min())
+    np.fill_diagonal(gram, -np.inf)
+    cosines.append(gram.max())
+    return np.arccos(np.clip(cosines, -1.0, 1.0))
 
 
 def eye_head(K):
@@ -275,6 +289,26 @@ def backward_reference(model, cache, grad_features):
         if i:
             grad_act = grad_pre @ layer.w
     return grads
+
+
+def adam_reference(params, steps, lr, beta1=network.ADAM_BETA1,
+                   beta2=network.ADAM_BETA2, eps=network.ADAM_EPS):
+    """Kingma & Ba (arXiv 1412.6980), Algorithm 1, from ``params`` through
+    each list of gradients in ``steps``: the parameters, the first and second
+    moments m and v, and the step count t that result."""
+    params = [p.copy() for p in params]
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    t = 0
+    for grads in steps:
+        t += 1
+        for i, g in enumerate(grads):
+            m[i] = beta1 * m[i] + (1.0 - beta1) * g
+            v[i] = beta2 * v[i] + (1.0 - beta2) * g * g
+            m_hat = m[i] / (1.0 - beta1 ** t)
+            v_hat = v[i] / (1.0 - beta2 ** t)
+            params[i] = params[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
+    return params, m, v, t
 
 
 def naive_forward(model, x):

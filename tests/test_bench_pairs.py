@@ -31,8 +31,8 @@ def test_one_tiny_pair_of_the_same_tree(tmp_path):
     assert lines[0] == "many_class_train: 1 pairs of 0.2 s, seeds 1-1, size tiny"
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     names = [m["name"] for m in spec["end_to_end"]]
-    rows = [re.match(r"^(\S+)\s+(\S+)\s+0\s+(\S+)\s+0\s+(\S+)\s+([01])/1\s+(gain|worse|-)$",
-                     line)
+    rows = [re.match(r"^(\S+)\s+(\S+)\s+0\s+(\S+)\s+0\s+(\S+)\s+([01])/1\s+"
+                     r"(gain|worse|unresolved|-)$", line)
             for line in lines[2:-1]]
     assert all(rows), lines
     assert [row[1] for row in rows] == names
@@ -98,6 +98,16 @@ def load_tool():
     ("lower", [100.0] * 4, [126.0] * 4, 0, "worse"),
     ("higher", [100.0] * 4, [76.0] * 4, 0, "-"),
     ("lower", [100.0] * 4, [124.0] * 4, 0, "-"),
+    # the parent's own IQR (50) wider than the bound (25% of its median, 100)
+    ("higher", [60.0, 80.0, 120.0, 140.0], [100.0] * 4, 2, "unresolved"),
+    ("lower", [60.0, 80.0, 120.0, 140.0], [100.0] * 4, 2, "unresolved"),
+    ("lower", [60.0, 80.0, 120.0, 140.0], [61.0, 62.0, 100.0, 150.0], 2, "unresolved"),
+    # ... unless every change run reads better than every parent run
+    ("higher", [60.0, 80.0, 120.0, 140.0], [141.0] * 4, 4, "-"),
+    ("lower", [60.0, 80.0, 120.0, 140.0], [59.0] * 4, 4, "-"),
+    # gain and worse keep their rules
+    ("higher", [60.0, 80.0, 120.0, 140.0], [200.0] * 4, 4, "gain"),
+    ("lower", [60.0, 80.0, 120.0, 140.0], [126.0] * 4, 1, "worse"),
 ])
 def test_verdict(better, parent, change, won, expected):
     metric = {"name": "m", "better": better, "bound": 0.25}

@@ -136,12 +136,21 @@ class TestCheck:
         assert run(["check", "--weights", str(out), "--tol", "4"]) == 1
         assert "vertices" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("tol", ["nan", "-1e-10", "inf"])
-    def test_tol_must_be_finite_and_non_negative(self, tmp_path, tol):
+    @pytest.mark.parametrize("tol", ["nan", "-1e-10", "inf", "1e400"])
+    def test_tol_must_be_finite_and_non_negative(self, tmp_path, capsys, tol):
         out = tmp_path / "w.json"
         run(["gen-weights", "--kind", "simplex", "--classes", "4",
              "--out", str(out)])
+        capsys.readouterr()
         assert run(["check", "--weights", str(out), f"--tol={tol}"]) == 2
+        assert capsys.readouterr() == ("", f"error: tol must be finite and >= 0, "
+                                           f"got {float(tol)}\n")
+
+    def test_the_head_file_is_read_before_the_tol(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert run(["check", "--weights", str(missing), "--tol=nan"]) == 3
+        assert capsys.readouterr() == ("", f"error: [Errno 2] No such file or "
+                                           f"directory: '{missing}'\n")
 
     # rows given as JSON lists, the layout before base64 entries, fail on
     # their rows after the kind; test_header_value_named meets every check

@@ -162,6 +162,13 @@ class TestMakeBlobs:
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             make_blobs(3, 2, 5, spread, separation, seed=0)
 
+    @pytest.mark.parametrize("classes", [1, 0, -3])
+    def test_fewer_than_two_classes_refused(self, classes):
+        # the rule of polytope.embedding_dim, met before any array is built
+        with pytest.raises(ClassCountError,
+                           match=f"^need at least 2 classes, got {classes}$"):
+            make_blobs(classes, 2, 5, 1.0, 6.0, seed=0)
+
     def test_more_classes_than_the_largest_simplex_refused(self):
         # the means need two columns, but simplex_rows computes whole rows
         with pytest.raises(ClassCountError, match="4097x4096 matrix"):

@@ -16,8 +16,9 @@ from polyhead.network import (AdamState, CacheError, TrainConfig, adam_step,
                               backward, classify, forward, init_model, parameters,
                               predict, score_blocks, train)
 from polyhead.polytope import ClassifierWeights, make_cube, make_orthoplex, make_simplex
-from reference import (backward_reference, bits, eye_head, full_model_grad_check,
-                       naive_forward, prelu_reference, resolvable_models, traced_peak)
+from reference import (adam_reference, backward_reference, bits, eye_head,
+                       full_model_grad_check, naive_forward, prelu_reference,
+                       resolvable_models, traced_peak)
 
 # PReLU slopes in [-2, 2], with 0, -0 and 1 as draws of their own, and the
 # pre-activations planted through a zero weight row's bias: zeros and subnormals
@@ -331,6 +332,24 @@ class TestAdam:
         assert [bits(p) for p in parameters(model)] == before
         assert (state.t, state.m, state.v) == (0, [], [])
 
+    @pytest.mark.parametrize("trainable", [False, True], ids=["fixed", "trainable"])
+    def test_six_steps_follow_the_reference(self, trainable):
+        model = init_model(3, [5, 3], make_orthoplex(6), seed=26, trainable=trainable)
+        start = [p.copy() for p in parameters(model)]
+        rng = np.random.default_rng(27)
+        # gradients of mixed sign and of scales from 1e-3 to 10, new at each step
+        steps = [[rng.normal(size=p.shape) * 10.0 ** rng.integers(-3, 2, p.shape)
+                  for p in start] for _ in range(6)]
+        state = AdamState(lr=0.01)
+        for grads in steps:
+            adam_step(model, grads, state)
+        params, m, v, t = adam_reference(start, steps, 0.01)
+        assert state.t == t == 6
+        for actual, expected in ((parameters(model), params), (state.m, m), (state.v, v)):
+            assert len(actual) == len(expected) == len(start)
+            for a, e in zip(actual, expected):
+                np.testing.assert_allclose(a, e, rtol=1e-12, atol=0)
+
     def test_fixed_head_untouched(self):
         w = make_simplex(3)
         model = init_model(3, [3, 2], w, seed=20)
@@ -555,6 +574,17 @@ class TestTrain:
         blobs.labels[0] = 9
         with pytest.raises(losses.LabelError):
             train(model, blobs, cfg)
+
+    @pytest.mark.parametrize("label", [-1, 2])
+    def test_a_label_out_of_range_is_refused_before_any_step(self, label):
+        _, blobs, model, cfg = self._blob_setup()
+        # the sample that the last batch of the first epoch draws
+        last = np.random.default_rng([cfg.seed, 0]).permutation(len(blobs))[-1]
+        blobs.labels[last] = label
+        before = [bits(p) for p in parameters(model)]
+        with pytest.raises(losses.LabelError, match=re.escape("labels must lie in [0, 2)")):
+            train(model, blobs, cfg)
+        assert [bits(p) for p in parameters(model)] == before
 
 
 def same_header(a, b):

@@ -12,7 +12,7 @@ from polyhead.polytope import (ClassCountError, ClassifierWeights, PolytopeKind,
                                make_orthoplex, make_simplex, simplex_rows,
                                verify_geometry)
 from reference import (all_pair_angles, bits, loop_cube, loop_orthoplex, simplex_reference,
-                       traced_peak)
+                       traced_peak, whole_gram_angles)
 
 ALL_KINDS = list(PolytopeKind)
 
@@ -197,16 +197,44 @@ class TestVerifyGeometry:
         assert not check.passed
         assert check.min_angle == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.filterwarnings("error")  # inf * 0 in the Gram matrix warns nothing
     @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
     @pytest.mark.parametrize("maker", [make_simplex, make_orthoplex, make_cube])
     def test_a_non_finite_or_zero_row_fails(self, maker, value):
         w = maker(8)
         rows = w.rows.copy()
         rows[3] = value
-        with np.errstate(invalid="ignore"):  # inf * 0 in the Gram matrix
-            check = verify_geometry(ClassifierWeights(w.kind, rows, w.phi), tol=1e-10)
+        check = verify_geometry(ClassifierWeights(w.kind, rows, w.phi), tol=1e-10)
         assert not check.passed
         assert check.message.startswith("row norm deviates by")
+
+    def test_a_large_head_builds_its_gram_matrix_in_blocks(self):
+        # the whole Gram matrix alone is 200 MB; a head file of cube-40000's
+        # would need 12.8 GB
+        w = make_cube(5000)
+        assert w.num_classes ** 2 > 5 * polytope.GRAM_BLOCK_ENTRIES
+        check = verify_geometry(w)
+        assert check.passed
+        assert bits(check.min_angle) == bits(whole_gram_angles(w.rows)[-1])
+        assert traced_peak(verify_geometry, w) < traced_peak(whole_gram_angles, w.rows) / 3
+
+    @pytest.mark.parametrize("entries", [1, 100, 1000, 47 * 47 - 1, 47 * 47])
+    def test_every_block_size_gives_the_whole_matrix_angles(self, monkeypatch, entries):
+        # blocks of one row, of a few, a short last block, and one block; a
+        # product of a few rows may round otherwise than the whole (see
+        # network.SCORE_BLOCK_ROWS), so only one block is held to its bits
+        monkeypatch.setattr(polytope, "GRAM_BLOCK_ENTRIES", entries)
+        rng = np.random.default_rng(4)
+        unit = rng.normal(size=(47, 6))
+        unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+        for rows in (make_simplex(47).rows, make_orthoplex(47).rows,
+                     make_cube(47).rows, unit, unit[:, ::2]):
+            for largest in (False, True):
+                blocked = polytope._extreme_angles(rows, largest)
+                expected = whole_gram_angles(rows, largest)
+                if entries == 47 * 47:
+                    assert bits(blocked) == bits(expected)
+                np.testing.assert_allclose(blocked, expected, rtol=0, atol=1e-14)
 
 
 class TestMinPairwiseAngle:

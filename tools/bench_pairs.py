@@ -15,9 +15,12 @@ verdict::
 The verdict is ``gain`` when the change won at least 9 of every 10 pairs and
 its median moved by more than the parent's IQR, ``worse`` when its median is
 worse than the parent's by more than the metric's ``bound`` (a share of the
-parent's median), and ``-`` otherwise.  The per-run results follow as one JSON
-line.  The exit code is 1 when a run reported a failed command, and 2
-when a run did not finish: it exited with an error, or it ran longer than
+parent's median), ``unresolved`` when neither holds and the parent's own IQR
+is wider than the bound, unless every change run reads better than every
+parent run, and ``-`` otherwise: runs spread wider than the bound cannot show
+that a metric is unchanged.  The per-run results follow as one JSON line.
+The exit code is 1 when a run reported a failed command, and 2 when a run
+did not finish: it exited with an error, or it ran longer than
 twice its ``--seconds`` plus ``SLACK_S`` and was killed.
 """
 
@@ -62,13 +65,17 @@ def iqr(values: list) -> float:
 
 
 def verdict(metric: dict, parent: list, change: list, won: int) -> str:
-    """``gain``, ``worse`` or ``-`` for one metric's runs, as the module says."""
+    """``gain``, ``worse``, ``unresolved`` or ``-`` for one metric's runs, as
+    the module says."""
     sign = 1.0 if metric["better"] == "higher" else -1.0
     before, after = statistics.median(parent), statistics.median(change)
     if 10 * won >= 9 * len(parent) and sign * (after - before) > iqr(parent):
         return "gain"
     if sign * (before - after) > metric["bound"] * abs(before):
         return "worse"
+    if (iqr(parent) > metric["bound"] * abs(before)
+            and min(sign * c for c in change) <= max(sign * p for p in parent)):
+        return "unresolved"
     return "-"
 
 
@@ -112,7 +119,7 @@ def main(argv=None) -> int:
     print(f"{args.workload}: {args.pairs} pairs of {args.seconds:g} s, seeds "
           f"{args.first_seed}-{args.first_seed + args.pairs - 1}, size {args.size}")
     print(f"{'metric':<22}{'parent':>14}{'IQR':>12}{'change':>14}{'IQR':>12}"
-          f"{'rel':>9}{'won':>7}{'verdict':>9}")
+          f"{'rel':>9}{'won':>7}{'verdict':>11}")
     for metric in spec["end_to_end"]:
         name, higher = metric["name"], metric["better"] == "higher"
         values = {side: [r["metrics"][name]["value"] for r in runs[side]]
@@ -125,7 +132,7 @@ def main(argv=None) -> int:
         print(f"{name:<22}{medians['parent']:>14.6g}{iqr(values['parent']):>12.3g}"
               f"{medians['change']:>14.6g}{iqr(values['change']):>12.3g}"
               f"{relative:>9}{f'{won}/{args.pairs}':>7}"
-              f"{verdict(metric, values['parent'], values['change'], won):>9}")
+              f"{verdict(metric, values['parent'], values['change'], won):>11}")
     print(json.dumps(runs))
     return 0 if all(r["correct"] for side in SIDES for r in runs[side]) else 1
 
