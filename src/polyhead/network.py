@@ -106,10 +106,13 @@ def init_model(input_dim: int, hidden_widths: List[int], head: ClassifierWeights
 
 def forward(model: MlpModel, batch: np.ndarray):
     """Returns (features, cache); the loss kinds score the features
-    against the head.  Each layer's product is ``w @ act.T``, which gives
-    BLAS the row count as its M dimension, where OpenBLAS runs a full-set
-    product faster than ``act @ w.T`` (see README); ``np.add`` writes it back
-    in C order with the bias, so every cached array stays C-contiguous.
+    against the head.  The cache holds each layer's input and ``pre`` and
+    is read only by ``backward``, so a caller that only scores keeps
+    ``forward(...)[0]`` and lets the cache go.  Each layer's product is
+    ``w @ act.T``, which gives BLAS the row count as its M dimension, where
+    OpenBLAS runs a full-set product faster than ``act @ w.T`` (see README);
+    ``np.add`` writes it back in C order with the bias, so every cached
+    array stays C-contiguous.
     PReLU is ``slope * min(pre, 0) + max(pre, 0)`` (He et al., arXiv
     1502.01852): no per-entry branch, the same value as ``pre if pre > 0
     else slope * pre``, and a zero output may differ only in its sign."""

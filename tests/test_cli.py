@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from polyhead import cli, data, network
 from polyhead.polytope import (PolytopeKind, load_json, make_orthoplex, make_simplex,
                                make_weights, to_dict)
-from reference import README
+from reference import README, traced_peak
 
 
 def run(args):
@@ -1185,3 +1185,23 @@ class TestIdxHeaderFuzz:
             assert run(argv) in (0, 2)
             err = capsys.readouterr().err
             assert err == "" or (err.startswith("error: ") and err.count("\n") == 1)
+
+
+class TestScoreMemory:
+    """``_score`` keeps only the features of its full-set forward: the cache,
+    which ``backward`` alone reads, is gone before ``predict`` runs its own."""
+
+    @pytest.fixture(scope="class")
+    def scored(self):
+        model = network.init_model(32, [256, 9], make_simplex(10), 0)
+        return model, data.make_blobs(10, 32, 400, 1.0, 6.0, 3)
+
+    def test_scoring_peaks_at_about_one_forward(self, scored):
+        model, ds = scored
+        one_forward = traced_peak(network.forward, model, ds.inputs)
+        assert traced_peak(cli._score, model, ds) < 1.25 * one_forward
+
+    def test_forward_holds_pre_act_and_one_temporary(self, scored):
+        model, ds = scored
+        array = len(ds) * 256 * 8  # one N x 256 float64 array
+        assert traced_peak(network.forward, model, ds.inputs) < 3.05 * array
