@@ -27,8 +27,13 @@ DEFAULT_TOL = 1e-10
 MAX_HEAD_ENTRIES = 1 << 24
 # Simplex vertices simplex_rows builds at a time
 SIMPLEX_BLOCK_ROWS = 128
-# Entries of each Gram matrix block of _extreme_angles: one block up to K = 2048
+# Entries of each Gram matrix block of _extreme_angles, at most: a bound on its
+# memory for any K, and one block up to K = 2048 for long rows (K <= 16 d)
 GRAM_BLOCK_ENTRIES = 1 << 22
+# Rows of each Gram matrix block of _extreme_angles per entry of a row, at most:
+# the block of short rows (a cube head's) holds at most 16 times the entries of
+# the rows, and so stays in cache while it is written
+GRAM_ROWS_PER_DIM = 16
 # json_field's word for each JSON kind, keyed by the type json.load gives it
 _JSON_KINDS = {int: "integer", float: "number in float range", bool: "true/false",
                str: "string", dict: "object", list: "list"}
@@ -205,12 +210,16 @@ def make_weights(kind: PolytopeKind, num_classes: int) -> ClassifierWeights:
 def _extreme_angles(rows: np.ndarray, largest: bool = False) -> np.ndarray:
     """The smallest angle between distinct rows (at least two), after the
     largest when ``largest``: the arccos of the extreme off-diagonal cosines of
-    the Gram matrix, built in row blocks of at most GRAM_BLOCK_ENTRIES entries.
-    numpy computes ``A[0:K] @ A.T`` of a C-contiguous ``A`` as one syrk product,
-    so a one-block matrix is symmetric bit for bit and its masked reductions
-    are those of its upper triangle; a strided view's, or a block's, need not be."""
+    the K x K Gram matrix of K rows of d entries, built in blocks of
+    ``min(GRAM_BLOCK_ENTRIES // K, GRAM_ROWS_PER_DIM * d)`` rows (at least one).
+    Writing the matrix, not the K^2 d products, bounds the time of short rows,
+    so their blocks stay in cache; long rows (16 d >= K: the simplex's and the
+    orthoplex's) keep one block up to the entry cap.  numpy computes ``A[0:K] @ A.T`` of a C-contiguous ``A`` as
+    one syrk product, so a one-block matrix is symmetric bit for bit and its
+    masked reductions are those of its upper triangle; a strided view's, or a
+    block's, need not be."""
     rows = np.ascontiguousarray(rows)
-    step = max(1, GRAM_BLOCK_ENTRIES // len(rows))
+    step = max(1, min(GRAM_BLOCK_ENTRIES // len(rows), GRAM_ROWS_PER_DIM * rows.shape[1]))
     low, high = np.inf, -np.inf
     for start in range(0, len(rows), step):
         gram = rows[start:start + step] @ rows.T

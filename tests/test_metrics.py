@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from polyhead.metrics import accuracy, export_scatter, geometry_report
-from polyhead.polytope import ClassifierWeights, make_simplex
-from reference import readme_unit_view
+from polyhead.polytope import ClassifierWeights, make_cube, make_simplex
+from reference import readme_unit_view, traced_peak
 
 class TestAccuracy:
     def test_all_equal(self):
@@ -87,6 +87,14 @@ class TestGeometryReport:
         report = geometry_report(w, feats, labels, labels)
         assert report.degenerate == 1
         assert report.per_class[0].count == 1
+
+    def test_cube_1000_report_builds_the_gram_matrix_in_blocks(self):
+        # 10k features, 10 per class; the Gram matrix of the 1000 class-mean
+        # directions alone would be 8 MB
+        w = make_cube(1000)
+        labels = np.repeat(np.arange(1000), 10)
+        feats = w.rows[labels] + 0.1 * np.random.default_rng(5).normal(size=(10_000, w.dim))
+        assert traced_peak(geometry_report, w, feats, labels, labels) < 4e6
 
     def test_json_round_trip(self, tmp_path):
         w = make_simplex(3)

@@ -218,12 +218,21 @@ class TestVerifyGeometry:
         assert bits(check.min_angle) == bits(whole_gram_angles(w.rows)[-1])
         assert traced_peak(verify_geometry, w) < traced_peak(whole_gram_angles, w.rows) / 3
 
-    @pytest.mark.parametrize("entries", [1, 100, 1000, 47 * 47 - 1, 47 * 47])
-    def test_every_block_size_gives_the_whole_matrix_angles(self, monkeypatch, entries):
-        # blocks of one row, of a few, a short last block, and one block; a
-        # product of a few rows may round otherwise than the whole (see
+    @pytest.mark.parametrize("entries, rows_per_dim", [
+        *[pytest.param(n, polytope.GRAM_ROWS_PER_DIM, id=str(n))
+          for n in (1, 100, 1000, 47 * 47 - 1, 47 * 47)],
+        pytest.param(polytope.GRAM_BLOCK_ENTRIES, 1, id="1-row-per-dim"),
+        pytest.param(polytope.GRAM_BLOCK_ENTRIES, 16, id="16-rows-per-dim")])
+    def test_every_block_size_gives_the_whole_matrix_angles(self, monkeypatch, entries,
+                                                            rows_per_dim):
+        # blocks of one row, of a few, a short last block, and one block, by
+        # the entry cap; then blocks of d rows, and one block, by the row cap
+        # (16 rows of the narrowest input's 3 entries hold all 47).  A product
+        # of a few rows may round otherwise than the whole (see
         # network.SCORE_BLOCK_ROWS), so only one block is held to its bits
         monkeypatch.setattr(polytope, "GRAM_BLOCK_ENTRIES", entries)
+        monkeypatch.setattr(polytope, "GRAM_ROWS_PER_DIM", rows_per_dim)
+        one_block = entries >= 47 * 47 and rows_per_dim * 3 >= 47
         rng = np.random.default_rng(4)
         unit = rng.normal(size=(47, 6))
         unit /= np.linalg.norm(unit, axis=1, keepdims=True)
@@ -232,7 +241,7 @@ class TestVerifyGeometry:
             for largest in (False, True):
                 blocked = polytope._extreme_angles(rows, largest)
                 expected = whole_gram_angles(rows, largest)
-                if entries == 47 * 47:
+                if one_block:
                     assert bits(blocked) == bits(expected)
                 np.testing.assert_allclose(blocked, expected, rtol=0, atol=1e-14)
 
@@ -241,7 +250,8 @@ class TestMinPairwiseAngle:
     def test_matches_min_of_all_angles_bitwise(self):
         heads = [maker(K) for maker in (make_simplex, make_orthoplex, make_cube)
                  for K in [*range(2, 70), 128]]
-        heads += [make_orthoplex(1000), make_cube(1000), make_cube(4096)]
+        # cube-2000 is 12 blocks of 176 rows, cube-4096 22 of 192
+        heads += [make_orthoplex(1000), make_cube(1000), make_cube(2000), make_cube(4096)]
         row_sets = [w.rows for w in heads]
         rng = np.random.default_rng(3)
         for K, d in [(2, 1), (2, 3), (5, 2), (47, 6), (300, 10), (1000, 10)]:
@@ -258,6 +268,8 @@ class TestMinPairwiseAngle:
         near = twin_rng.normal(size=(24, 64)) / 8.0
         near[7] = near[9] + 1e-9 * twin_rng.normal(size=64)
         row_sets.append(near[:, ::2])
+        unit = np.random.default_rng(6).normal(size=(2000, 8))  # 16 blocks of 128 rows
+        row_sets.append(unit / np.linalg.norm(unit, axis=1, keepdims=True))
         for rows in row_sets:
             # one max over the whole Gram matrix stands for the max of its upper
             # triangle only if the matrix is symmetric bit for bit
@@ -277,6 +289,11 @@ class TestMinPairwiseAngle:
     def test_cube_1000_check_holds_only_the_gram_matrix(self):
         w = make_cube(1000)
         assert traced_peak(verify_geometry, w) < 1.25 * 1000 * 1000 * 8
+
+    def test_cube_2000_check_holds_a_few_rows_of_the_gram_matrix(self):
+        # blocks of 16 d = 176 rows, 2.8 MB; the whole Gram matrix is 32 MB
+        w = make_cube(2000)
+        assert traced_peak(verify_geometry, w) < 4e6
 
 
 class TestGeometryProperty:
