@@ -133,10 +133,10 @@ _EVAL_BLOBS = {"classes": None, "dim": 2, "per_class": 100, "spread": 1.0,
 def _score(model: network.MlpModel, dataset: datamod.LabeledBatch) -> tuple:
     """The model's features of the whole dataset and their geometry report.
     A model whose features, or their norms, are not finite is a ConfigError.
-    Only the features of the forward are kept: its cache is for ``backward``,
-    and dropping it frees every layer's arrays before ``predict`` runs."""
+    The features come from ``embed``, one row block at a time, so no cache
+    and no full-set layer array is ever held, here or in ``predict``."""
     with np.errstate(over="ignore", invalid="ignore"):  # checked right after
-        feats = network.forward(model, dataset.inputs)[0]
+        feats = network.embed(model, dataset.inputs)
         norms = np.linalg.norm(feats, axis=1)
     if not np.isfinite(norms).all():
         raise ConfigError("the model gives non-finite features on this dataset")

@@ -32,12 +32,11 @@ MAX_MODEL_ENTRIES = 1 << 24
 # The most optimizer steps, epochs x batches per epoch, that a train config
 # may ask for; every test, tool and benchmark config takes a few hundred.
 MAX_TRAIN_STEPS = 10 ** 7
-# The most rows that classify scores in one product.  Its blocks start every
-# half of this and the rows left over join the last block, because a short
-# product rounds differently: OpenBLAS sends one row to gemv, and K x rows
-# <= 1200 (with d >= 32) to a small-matrix kernel.  Blocks that start at
-# multiples of 768 rows keep the whole product's bits with one BLAS thread;
-# 1024-row blocks do not (K=300, d=299).
+# The most rows that classify scores, or embed runs through forward, at once.
+# Blocks start every half of this and the rows left over join the last one, as
+# a short product rounds differently: OpenBLAS sends one row to gemv, and K x
+# rows <= 1200 (with d >= 32) to a small-matrix kernel.  With one BLAS thread,
+# starts every 768 rows keep the whole product's bits; 1024 do not (K=300, d=299).
 SCORE_BLOCK_ROWS = 1536
 
 
@@ -104,23 +103,26 @@ def init_model(input_dim: int, hidden_widths: List[int], head: ClassifierWeights
     return MlpModel(input_dim, layers, head)
 
 
-def forward(model: MlpModel, batch: np.ndarray):
-    """Returns (features, cache); the loss kinds score the features
-    against the head.  The cache holds each layer's input and ``pre`` and
-    is read only by ``backward``, so a caller that only scores keeps
-    ``forward(...)[0]`` and lets the cache go.  Each layer's product is
-    ``w @ act.T``, which gives BLAS the row count as its M dimension, where
-    OpenBLAS runs a full-set product faster than ``act @ w.T`` (see README);
-    ``np.add`` writes it back in C order with the bias, so every cached
-    array stays C-contiguous.
-    PReLU is ``slope * min(pre, 0) + max(pre, 0)`` (He et al., arXiv
-    1502.01852): no per-entry branch, the same value as ``pre if pre > 0
-    else slope * pre``, and a zero output may differ only in its sign."""
+def _inputs(model: MlpModel, batch: np.ndarray) -> np.ndarray:
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.input_dim:
         raise ValueError(f"batch shape {x.shape}, expected (N, {model.input_dim})")
+    return x
+
+
+def forward(model: MlpModel, batch: np.ndarray):
+    """Returns (features, cache); the loss kinds score the features against
+    the head.  The cache holds each layer's input and ``pre`` and is read
+    only by ``backward``; a caller that only scores calls ``embed``.  Each
+    layer's product is ``w @ act.T``, which gives BLAS the row count as its
+    M dimension, where OpenBLAS runs a full-set product faster than ``act @
+    w.T`` (see README); ``np.add`` writes it back in C order with the bias,
+    so every cached array stays C-contiguous.
+    PReLU is ``slope * min(pre, 0) + max(pre, 0)`` (He et al., arXiv
+    1502.01852): no per-entry branch, the same value as ``pre if pre > 0
+    else slope * pre``, and a zero output may differ only in its sign."""
     cache = []
-    act = x
+    act = _inputs(model, batch)
     for layer in model.layers:
         pre = np.add((layer.w @ act.T).T, layer.b, out=np.empty((len(act), len(layer.b))))
         cache.append((act, pre))
@@ -196,7 +198,7 @@ def adam_step(model: MlpModel, grads: List[np.ndarray], state: AdamState):
 
 
 def score_blocks(n: int) -> List[tuple]:
-    """The row ranges ``[start, stop)`` that ``classify`` scores one product
+    """The row ranges ``[start, stop)`` that ``classify`` and ``embed`` take one
     at a time: one every ``SCORE_BLOCK_ROWS // 2`` rows, the last running to
     ``n``, so a block holds fewer than SCORE_BLOCK_ROWS rows, and fewer than
     half of them only when it is all ``n`` rows (one empty block at n = 0)."""
@@ -216,9 +218,19 @@ def classify(head: ClassifierWeights, features: np.ndarray) -> np.ndarray:
     return preds
 
 
+def embed(model: MlpModel, batch: np.ndarray) -> np.ndarray:
+    """``forward(model, batch)[0]`` with no cache, one ``score_blocks`` block of
+    rows at a time into one N x d array; with one BLAS thread, the same bits."""
+    x = _inputs(model, batch)
+    feats = np.empty((len(x), model.head.dim))
+    for start, stop in score_blocks(len(x)):
+        feats[start:stop] = forward(model, x[start:stop])[0]
+    return feats
+
+
 def predict(model: MlpModel, batch: np.ndarray) -> np.ndarray:
     """The classes ``classify`` gives the features of ``batch``."""
-    return classify(model.head, forward(model, batch)[0])
+    return classify(model.head, embed(model, batch))
 
 
 def train(model: MlpModel, data: LabeledBatch, config: TrainConfig):

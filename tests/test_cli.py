@@ -2,16 +2,20 @@ import argparse
 import base64
 import json
 import math
+import os
 import re
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from polyhead import cli, data, network
-from polyhead.polytope import (PolytopeKind, load_json, make_orthoplex, make_simplex,
-                               make_weights, to_dict)
+from polyhead.polytope import (PolytopeKind, load_json, make_cube, make_orthoplex,
+                               make_simplex, make_weights, to_dict)
 from reference import README, traced_peak
 
 
@@ -606,6 +610,32 @@ class TestTrain:
             assert ((tmp_path / "a" / name).read_bytes()
                     == (tmp_path / "b" / name).read_bytes())
 
+    def test_many_class_reruns_in_subprocesses_are_byte_identical(self, tmp_path):
+        # a 1000-class head's products are the ones whose bits depend on the
+        # BLAS thread count, so both runs pin it, and the score runs in blocks
+        path, _ = blob_config(
+            tmp_path, epochs=2, batch_size=256, hidden_widths=[16],
+            classifier={"kind": "cube", "classes": 1000},
+            dataset={"type": "blobs", "classes": 1000, "dim": 12, "per_class": 2,
+                     "spread": 1.0, "separation": 6.0, "seed": 6})
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]),
+                   OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        for name in ("a", "b"):
+            out = tmp_path / name
+            for args in (["train", "--config", str(path), "--out-dir", str(out)],
+                         ["eval", "--checkpoint", str(out / "checkpoint.json"),
+                          "--blobs-classes", "1000", "--blobs-dim", "12",
+                          "--blobs-per-class", "2", "--out", str(out / "eval.json")]):
+                proc = subprocess.run([sys.executable, "-m", "polyhead.cli", *args],
+                                      env=env, capture_output=True, text=True, timeout=60)
+                assert proc.returncode == 0, proc.stderr
+        files = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert files == ["checkpoint.json", "config_resolved.json", "epochs.csv",
+                         "eval.json", "features.csv", "geometry.json"]
+        for name in files:
+            assert ((tmp_path / "a" / name).read_bytes()
+                    == (tmp_path / "b" / name).read_bytes()), name
+
 
 TYPE_NAMES = {int: "integer", float: "number", bool: "true/false", str: "string",
               list: "list of integers", dict: "object"}
@@ -1188,8 +1218,9 @@ class TestIdxHeaderFuzz:
 
 
 class TestScoreMemory:
-    """``_score`` keeps only the features of its full-set forward: the cache,
-    which ``backward`` alone reads, is gone before ``predict`` runs its own."""
+    """``_score`` and ``predict`` take the features from ``embed``, which runs
+    ``forward`` one row block at a time and keeps no cache, so no full-set
+    layer array exists while the whole set is scored."""
 
     @pytest.fixture(scope="class")
     def scored(self):
@@ -1205,3 +1236,10 @@ class TestScoreMemory:
         model, ds = scored
         array = len(ds) * 256 * 8  # one N x 256 float64 array
         assert traced_peak(network.forward, model, ds.inputs) < 3.05 * array
+
+    def test_cube_1000_scoring_holds_one_block_of_each_layer(self):
+        # one full-set forward holds pre, act and a PReLU temporary of 10k x 64
+        model = network.init_model(32, [64, 10], make_cube(1000), 0)
+        ds = data.make_blobs(1000, 32, 10, 1.0, 6.0, 3)
+        one_forward = traced_peak(network.forward, model, ds.inputs)
+        assert traced_peak(cli._score, model, ds) < 0.6 * one_forward

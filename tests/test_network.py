@@ -13,8 +13,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from polyhead import losses, network, polytope
 from polyhead.data import batches, make_blobs
 from polyhead.network import (AdamState, CacheError, TrainConfig, adam_step,
-                              backward, classify, forward, init_model, parameters,
-                              predict, score_blocks, train)
+                              backward, classify, embed, forward, init_model,
+                              parameters, predict, score_blocks, train)
 from polyhead.polytope import ClassifierWeights, make_cube, make_orthoplex, make_simplex
 from reference import (adam_reference, backward_reference, bits, eye_head,
                        full_model_grad_check, naive_forward, prelu_reference,
@@ -413,8 +413,10 @@ class TestPredict:
 
 def check_block_bits():
     """Asserts that each block of ``score_blocks`` has the bits of the same
-    rows of the whole product, and that ``classify`` is the whole product's
-    argmax.  The (300, 299) head fails it with SCORE_BLOCK_ROWS = 1024, and
+    rows of the whole product, that ``classify`` is the whole product's
+    argmax, and that ``embed`` has the bits of one full-set ``forward`` on the
+    paper-shape and many-class backbones, fixed and trainable, with nonzero
+    biases.  The (300, 299) head fails it with SCORE_BLOCK_ROWS = 1024, and
     the (47, 46) and (300, 299) heads fail it at N = 1538 if the last two
     rows are a block of their own."""
     rng = np.random.default_rng(27)
@@ -426,6 +428,16 @@ def check_block_bits():
                 assert np.array_equal(f[start:stop] @ head.rows.T, whole[start:stop]), \
                     (head.num_classes, head.dim, n, start, stop)
             assert np.array_equal(classify(head, f), np.argmax(whole, axis=1))
+    for input_dim, widths, head in ((784, [256, 9], make_simplex(10)),
+                                    (32, [64, 10], make_cube(1000))):
+        for trainable in (False, True):
+            model = init_model(input_dim, widths, head, seed=29, trainable=trainable)
+            for layer in model.layers:
+                layer.b = rng.normal(size=layer.b.shape)
+            for n in (1, 767, 768, 769, 1535, 1536, 1537, 2304, 10000):
+                x = rng.normal(size=(n, input_dim))
+                assert np.array_equal(embed(model, x), forward(model, x)[0]), \
+                    (input_dim, widths, trainable, n)
 
 
 class TestScoreBlocks:
@@ -455,6 +467,19 @@ class TestScoreBlocks:
         assert preds.dtype == np.intp and preds.shape == (0,)
         with pytest.raises(ValueError):  # the empty product still checks the width
             classify(head, np.empty((0, head.dim + 1)))
+
+    @pytest.mark.parametrize("shape", [(), (5,), (2, 6), (2000, 6), (2000, 4)])
+    def test_embed_refuses_what_forward_refuses(self, shape):
+        model = init_model(5, [4, 3], make_simplex(4), seed=8)
+        with pytest.raises(ValueError) as refused:
+            forward(model, np.zeros(shape))
+        with pytest.raises(ValueError, match=re.escape(str(refused.value))):
+            embed(model, np.zeros(shape))
+
+    def test_embed_of_no_rows(self):
+        model = init_model(5, [4, 3], make_simplex(4), seed=8)
+        feats = embed(model, np.empty((0, 5)))
+        assert feats.shape == (0, 3) and feats.flags.c_contiguous
 
     def test_peak_memory_is_one_block_of_scores(self):
         # the whole 10k x 1000 score matrix would be 80 MB
