@@ -8,8 +8,11 @@ rows are updated like any other parameter.
 
 from __future__ import annotations
 
+import contextvars
 import json
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional
@@ -32,11 +35,11 @@ MAX_MODEL_ENTRIES = 1 << 24
 # The most optimizer steps, epochs x batches per epoch, that a train config
 # may ask for; every test, tool and benchmark config takes a few hundred.
 MAX_TRAIN_STEPS = 10 ** 7
-# The most rows that classify scores, or embed runs through forward, at once.
-# Blocks start every half of this and the rows left over join the last one, as
-# a short product rounds differently: OpenBLAS sends one row to gemv, and K x
-# rows <= 1200 (with d >= 32) to a small-matrix kernel.  With one BLAS thread,
-# starts every 768 rows keep the whole product's bits; 1024 do not (K=300, d=299).
+# The most rows that classify scores, or one of embed's threads runs through
+# forward, at once.  Blocks start every half of this and the rows left over join
+# the last one, as a short product rounds differently: OpenBLAS sends one row to
+# gemv, and K x rows <= 1200 (with d >= 32) to a small-matrix kernel.  With one BLAS
+# thread, starts every 768 rows keep the whole product's bits; 1024 do not (K=300, d=299).
 SCORE_BLOCK_ROWS = 1536
 
 
@@ -198,10 +201,10 @@ def adam_step(model: MlpModel, grads: List[np.ndarray], state: AdamState):
 
 
 def score_blocks(n: int) -> List[tuple]:
-    """The row ranges ``[start, stop)`` that ``classify`` and ``embed`` take one
-    at a time: one every ``SCORE_BLOCK_ROWS // 2`` rows, the last running to
-    ``n``, so a block holds fewer than SCORE_BLOCK_ROWS rows, and fewer than
-    half of them only when it is all ``n`` rows (one empty block at n = 0)."""
+    """The row ranges ``[start, stop)`` that ``classify``, and each of ``embed``'s
+    threads, take one at a time: one every ``SCORE_BLOCK_ROWS // 2`` rows, the last
+    running to ``n``, so a block holds fewer than SCORE_BLOCK_ROWS rows, and fewer
+    than half of them only when it is all ``n`` rows (one empty block at n = 0)."""
     step = SCORE_BLOCK_ROWS // 2
     bounds = list(range(0, n - step + 1, step)) or [0]
     return list(zip(bounds, bounds[1:] + [n]))
@@ -209,8 +212,8 @@ def score_blocks(n: int) -> List[tuple]:
 
 def classify(head: ClassifierWeights, features: np.ndarray) -> np.ndarray:
     """Argmax cosine to the head's unit rows; ties go to the lowest index.
-    Only one block's scores (see ``score_blocks``) exist at a time, never
-    the N x K matrix."""
+    Only one block's scores (see ``score_blocks``) exist at a time, never the
+    N x K matrix: unlike ``embed``'s, the blocks run one after another."""
     unit, _ = losses.unit_rows(head)
     preds = np.empty(len(features), dtype=np.intp)
     for start, stop in score_blocks(len(features)):
@@ -220,11 +223,28 @@ def classify(head: ClassifierWeights, features: np.ndarray) -> np.ndarray:
 
 def embed(model: MlpModel, batch: np.ndarray) -> np.ndarray:
     """``forward(model, batch)[0]`` with no cache, one ``score_blocks`` block of
-    rows at a time into one N x d array; with one BLAS thread, the same bits."""
+    rows at a time into its rows of one N x d array; with one BLAS thread, the same
+    bits.  The blocks are dealt in turn to one share per usable CPU, at most one per
+    block: the caller runs the first share and one thread each of the others, all
+    under the caller's ``np.errstate``.  No bit depends on which thread ran a block.
+    Nothing returns or raises until every share has finished; one share starts no thread."""
     x = _inputs(model, batch)
     feats = np.empty((len(x), model.head.dim))
-    for start, stop in score_blocks(len(x)):
-        feats[start:stop] = forward(model, x[start:stop])[0]
+    blocks = score_blocks(len(x))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    shares = min(cpus or 1, len(blocks))
+
+    def run(share: int) -> None:
+        for start, stop in blocks[share::shares]:
+            feats[start:stop] = forward(model, x[start:stop])[0]
+
+    with ThreadPoolExecutor(max(shares - 1, 1)) as pool:  # a thread per submit
+        # each submit runs in a copy of the caller's context, where errstate lives
+        done = [pool.submit(contextvars.copy_context().run, run, share)
+                for share in range(1, shares)]
+        run(0)
+    for future in done:
+        future.result()
     return feats
 
 

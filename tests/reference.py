@@ -15,8 +15,10 @@ import csv
 import itertools
 import json
 import math
+import os
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -45,6 +47,13 @@ def traced_peak(fn, *args):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def usable_cpus(count):
+    """A context in which the process may run on ``count`` CPUs as far as
+    ``network.embed`` asks, which runs one share of its blocks per CPU."""
+    return mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(count)),
+                             create=True)
 
 
 # -- polytope makers ---------------------------------------------------------

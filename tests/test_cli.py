@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from polyhead import cli, data, network
 from polyhead.polytope import (PolytopeKind, load_json, make_cube, make_orthoplex,
                                make_simplex, make_weights, to_dict)
-from reference import README, traced_peak
+from reference import README, traced_peak, usable_cpus
 
 
 def run(args):
@@ -745,6 +745,21 @@ class TestEval:
         assert capsys.readouterr().err == (
             "error: spread 1e+308 and separation 6.0 give non-finite inputs\n")
         assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_features_over_threads_exit_2(self, tmp_path, capsys):
+        # embed's threads score 2,000 rows as two blocks under _score's errstate,
+        # so the overflow in each warns nowhere
+        model = network.init_model(3, [5, 2], make_orthoplex(4), seed=0)
+        for layer in model.layers:  # the second layer's products overflow
+            layer.w *= 1e300
+        path = tmp_path / "ckpt.json"
+        network.save_checkpoint(model, path)
+        with usable_cpus(2):
+            assert run(["eval", "--checkpoint", str(path), "--blobs-classes", "4",
+                        "--blobs-dim", "3", "--blobs-per-class", "500"]) == 2
+        assert capsys.readouterr().err == (
+            "error: the model gives non-finite features on this dataset\n")
 
     def test_labels_beyond_the_head(self, tmp_path, capsys):
         model = network.init_model(3, [5, 2], make_orthoplex(4), seed=0)

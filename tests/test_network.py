@@ -4,6 +4,8 @@ import os
 import re
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +20,7 @@ from polyhead.network import (AdamState, CacheError, TrainConfig, adam_step,
 from polyhead.polytope import ClassifierWeights, make_cube, make_orthoplex, make_simplex
 from reference import (adam_reference, backward_reference, bits, eye_head,
                        full_model_grad_check, naive_forward, prelu_reference,
-                       resolvable_models, traced_peak)
+                       resolvable_models, traced_peak, usable_cpus)
 
 # PReLU slopes in [-2, 2], with 0, -0 and 1 as draws of their own, and the
 # pre-activations planted through a zero weight row's bias: zeros and subnormals
@@ -411,14 +413,29 @@ class TestPredict:
             assert preds[n] == best
 
 
+# Row counts that embed's checks run, around one, two and three blocks
+EMBED_ROWS = (1, 767, 768, 769, 1535, 1536, 1537, 2304, 10000)
+
+
+def block_models(rng):
+    """The paper-shape and many-class backbones, fixed and trainable, with
+    nonzero biases."""
+    for input_dim, widths, head in ((784, [256, 9], make_simplex(10)),
+                                    (32, [64, 10], make_cube(1000))):
+        for trainable in (False, True):
+            model = init_model(input_dim, widths, head, seed=29, trainable=trainable)
+            for layer in model.layers:
+                layer.b = rng.normal(size=layer.b.shape)
+            yield model
+
+
 def check_block_bits():
     """Asserts that each block of ``score_blocks`` has the bits of the same
     rows of the whole product, that ``classify`` is the whole product's
-    argmax, and that ``embed`` has the bits of one full-set ``forward`` on the
-    paper-shape and many-class backbones, fixed and trainable, with nonzero
-    biases.  The (300, 299) head fails it with SCORE_BLOCK_ROWS = 1024, and
-    the (47, 46) and (300, 299) heads fail it at N = 1538 if the last two
-    rows are a block of their own."""
+    argmax, and that ``embed`` on one and on two CPUs has the bits of one
+    full-set ``forward`` on each of ``block_models``.  The (300, 299) head
+    fails it with SCORE_BLOCK_ROWS = 1024, and the (47, 46) and (300, 299)
+    heads fail it at N = 1538 if the last two rows are a block of their own."""
     rng = np.random.default_rng(27)
     for head in (make_simplex(10), make_simplex(47), make_cube(1000), make_simplex(300)):
         for n in (1, 2, 1536, 1537, 1538, 3073, 10001):
@@ -428,29 +445,122 @@ def check_block_bits():
                 assert np.array_equal(f[start:stop] @ head.rows.T, whole[start:stop]), \
                     (head.num_classes, head.dim, n, start, stop)
             assert np.array_equal(classify(head, f), np.argmax(whole, axis=1))
-    for input_dim, widths, head in ((784, [256, 9], make_simplex(10)),
-                                    (32, [64, 10], make_cube(1000))):
-        for trainable in (False, True):
-            model = init_model(input_dim, widths, head, seed=29, trainable=trainable)
-            for layer in model.layers:
-                layer.b = rng.normal(size=layer.b.shape)
-            for n in (1, 767, 768, 769, 1535, 1536, 1537, 2304, 10000):
-                x = rng.normal(size=(n, input_dim))
-                assert np.array_equal(embed(model, x), forward(model, x)[0]), \
-                    (input_dim, widths, trainable, n)
+    for model in block_models(rng):
+        for n in EMBED_ROWS:
+            x = rng.normal(size=(n, model.input_dim))
+            whole = forward(model, x)[0]
+            for cpus in (1, 2):
+                with usable_cpus(cpus):
+                    assert np.array_equal(embed(model, x), whole), \
+                        (model.input_dim, model.head.trainable, n, cpus)
+
+
+def check_concurrent_bits(repeats=3):
+    """Asserts that ``embed`` on two and on eight CPUs, run ``repeats`` times,
+    has the bits of ``embed`` on one, on each of ``block_models``, while the
+    interpreter switches threads every microsecond."""
+    rng = np.random.default_rng(31)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for model in block_models(rng):
+            for n in EMBED_ROWS:
+                x = rng.normal(size=(n, model.input_dim))
+                with usable_cpus(1):
+                    serial = bits(embed(model, x))
+                for cpus, _ in itertools.product((2, 8), range(repeats)):
+                    with usable_cpus(cpus):
+                        assert bits(embed(model, x)) == serial, \
+                            (model.input_dim, model.head.trainable, n, cpus)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def run_check(check: str, blas_threads: int) -> None:
+    """Runs ``check`` of this module in a fresh interpreter whose BLAS has
+    ``blas_threads`` threads, read when numpy is first imported."""
+    threads = str(blas_threads)
+    env = dict(os.environ, PYTHONPATH=str(Path(network.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+               MKL_NUM_THREADS=threads)
+    proc = subprocess.run([sys.executable, "-c", f"import test_network; test_network.{check}()"],
+                          cwd=Path(__file__).parent, env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestScoreBlocks:
     def test_blocks_keep_the_whole_products_bits(self):
         # a BLAS with several threads splits a product among them by its
         # shape, so the bits are pinned with one thread, as the benchmark runs
-        env = dict(os.environ, PYTHONPATH=str(Path(network.__file__).parents[1]),
-                   OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-        proc = subprocess.run([sys.executable, "-c",
-                               "import test_network; test_network.check_block_bits()"],
-                              cwd=Path(__file__).parent, env=env, capture_output=True,
-                              text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
+        run_check("check_block_bits", 1)
+
+    def test_concurrent_embed_keeps_the_serial_bits(self):
+        # at two BLAS threads, where a product's bits are the BLAS's split of it
+        run_check("check_concurrent_bits", 2)
+
+    @pytest.mark.parametrize("rows,cpus", [(767, 2), (767, 8), (10000, 1)])
+    def test_one_share_starts_no_thread(self, monkeypatch, rows, cpus):
+        # a one-share embed stays on the caller's thread, as the bench's
+        # traced tiny runs need
+        model = init_model(32, [64, 10], make_cube(1000), seed=29)
+        seen = []
+
+        def recorded(*args):
+            seen.append((threading.get_ident(), threading.active_count()))
+            return forward(*args)
+
+        monkeypatch.setattr(network, "forward", recorded)
+        before = threading.active_count()
+        with usable_cpus(cpus):
+            embed(model, np.ones((rows, 32)))
+        assert seen == [(threading.get_ident(), before)] * len(score_blocks(rows))
+
+    def test_shares_take_the_blocks_in_turn(self, monkeypatch):
+        model = init_model(5, [4, 3], make_simplex(4), seed=8)
+        x = np.repeat(np.arange(3072.0)[:, None], 5, axis=1)  # blocks at 0, 768, 1536, 2304
+        seen = []
+
+        def recorded(model, rows):
+            seen.append((int(rows[0, 0]), threading.get_ident()))
+            return forward(model, rows)
+
+        monkeypatch.setattr(network, "forward", recorded)
+        with usable_cpus(2):
+            feats = embed(model, x)
+        threads = dict(seen)
+        assert sorted(threads) == [0, 768, 1536, 2304]
+        assert threads[0] == threads[1536] == threading.get_ident() != threads[768]
+        assert threads[768] == threads[2304]
+        assert np.array_equal(feats, forward(model, x)[0])
+
+    @pytest.mark.parametrize("failing", range(4))
+    def test_a_failing_block_raises_after_every_share_finished(self, monkeypatch,
+                                                                failing):
+        model = init_model(5, [4, 3], make_simplex(4), seed=8)
+        x = np.repeat(np.arange(3072.0)[:, None], 5, axis=1)  # blocks at 0, 768, 1536, 2304
+        events = []
+
+        def slow_or_failing(model, rows):
+            block = int(rows[0, 0]) // 768
+            events.append(("start", block))
+            try:
+                if block == failing:
+                    raise RuntimeError(f"block {block}")
+                time.sleep(0.05)
+                return forward(model, rows)
+            finally:
+                events.append(("end", block))
+
+        monkeypatch.setattr(network, "forward", slow_or_failing)
+        before = threading.active_count()
+        with usable_cpus(2), pytest.raises(RuntimeError, match=f"^block {failing}$"):
+            embed(model, x)
+        started = sorted(block for event, block in events if event == "start")
+        assert sorted(block for event, block in events if event == "end") == started
+        # the other share, the one without the failing block, ran all of its blocks
+        assert {b for b in range(4) if b % 2 != failing % 2} <= set(started)
+        assert threading.active_count() == before
 
     def test_blocks_cover_the_rows_in_order(self):
         for n in (0, 1, 767, 768, 1535, 1536, 2303, 2304, 10001):
