@@ -8,7 +8,6 @@ rows are updated like any other parameter.
 
 from __future__ import annotations
 
-import contextvars
 import json
 import math
 import os
@@ -41,6 +40,10 @@ MAX_TRAIN_STEPS = 10 ** 7
 # gemv, and K x rows <= 1200 (with d >= 32) to a small-matrix kernel.  With one BLAS
 # thread, starts every 768 rows keep the whole product's bits; 1024 do not (K=300, d=299).
 SCORE_BLOCK_ROWS = 1536
+# embed's most shares, each holding one block's cache; one unless every BLAS_THREAD_VARS
+# set is 1, as two callers of a 2-thread BLAS slowed many-class scoring by 30%.
+EMBED_SHARES = 2
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class CacheError(ValueError):
@@ -211,9 +214,8 @@ def score_blocks(n: int) -> List[tuple]:
 
 
 def classify(head: ClassifierWeights, features: np.ndarray) -> np.ndarray:
-    """Argmax cosine to the head's unit rows; ties go to the lowest index.
-    Only one block's scores (see ``score_blocks``) exist at a time, never the
-    N x K matrix: unlike ``embed``'s, the blocks run one after another."""
+    """Argmax cosine to the head's unit rows; ties go to the lowest index.  Only one
+    ``score_blocks`` block's scores exist at a time: unlike ``embed``, one after another."""
     unit, _ = losses.unit_rows(head)
     preds = np.empty(len(features), dtype=np.intp)
     for start, stop in score_blocks(len(features)):
@@ -223,28 +225,26 @@ def classify(head: ClassifierWeights, features: np.ndarray) -> np.ndarray:
 
 def embed(model: MlpModel, batch: np.ndarray) -> np.ndarray:
     """``forward(model, batch)[0]`` with no cache, one ``score_blocks`` block of
-    rows at a time into its rows of one N x d array; with one BLAS thread, the same
-    bits.  The blocks are dealt in turn to one share per usable CPU, at most one per
-    block: the caller runs the first share and one thread each of the others, all
-    under the caller's ``np.errstate``.  No bit depends on which thread ran a block.
-    Nothing returns or raises until every share has finished; one share starts no thread."""
+    rows at a time into one N x d array, with its bits at one BLAS thread.  The
+    caller and at most one thread (see ``EMBED_SHARES``) take the blocks in turn
+    under the caller's errstate, and both have ended when this returns or raises."""
     x = _inputs(model, batch)
     feats = np.empty((len(x), model.head.dim))
     blocks = score_blocks(len(x))
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    shares = min(cpus or 1, len(blocks))
+    blas = {os.environ.get(var) for var in BLAS_THREAD_VARS} - {None}
+    shares = min(cpus or 1, len(blocks), EMBED_SHARES if blas == {"1"} else 1)
+    err = np.geterr()
 
     def run(share: int) -> None:
-        for start, stop in blocks[share::shares]:
-            feats[start:stop] = forward(model, x[start:stop])[0]
+        with np.errstate(**err):  # a new thread starts with numpy's defaults
+            for start, stop in blocks[share::shares]:
+                feats[start:stop] = forward(model, x[start:stop])[0]
 
-    with ThreadPoolExecutor(max(shares - 1, 1)) as pool:  # a thread per submit
-        # each submit runs in a copy of the caller's context, where errstate lives
-        done = [pool.submit(contextvars.copy_context().run, run, share)
-                for share in range(1, shares)]
+    with ThreadPoolExecutor(1) as pool:  # starts its thread only when one is mapped
+        done = pool.map(run, range(1, shares))
         run(0)
-    for future in done:
-        future.result()
+        list(done)  # waits for the thread and raises what it raised
     return feats
 
 

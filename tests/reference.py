@@ -11,6 +11,7 @@ bits or to a stated tolerance.  A helper lives here when a test compares
 ``src`` against it, or when two or more test modules use it.
 """
 
+import contextlib
 import csv
 import itertools
 import json
@@ -49,11 +50,18 @@ def traced_peak(fn, *args):
         tracemalloc.stop()
 
 
-def usable_cpus(count):
-    """A context in which the process may run on ``count`` CPUs as far as
-    ``network.embed`` asks, which runs one share of its blocks per CPU."""
-    return mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(count)),
-                             create=True)
+@contextlib.contextmanager
+def usable_cpus(count, blas_threads="1"):
+    """A context in which, as far as ``network.embed`` asks, the process may run
+    on ``count`` CPUs and each of ``network.BLAS_THREAD_VARS`` reads
+    ``blas_threads``, or none is set when it is None.  The BLAS itself keeps the
+    thread count it read when numpy was first imported."""
+    values = {var: blas_threads for var in network.BLAS_THREAD_VARS if blas_threads}
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(count)),
+                           create=True), mock.patch.dict(os.environ, values):
+        for var in set(network.BLAS_THREAD_VARS) - set(values):
+            os.environ.pop(var, None)
+        yield
 
 
 # -- polytope makers ---------------------------------------------------------

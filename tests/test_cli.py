@@ -1234,8 +1234,9 @@ class TestIdxHeaderFuzz:
 
 class TestScoreMemory:
     """``_score`` and ``predict`` take the features from ``embed``, which runs
-    ``forward`` one row block at a time and keeps no cache, so no full-set
-    layer array exists while the whole set is scored."""
+    ``forward`` one row block at a time on each of at most two threads and keeps
+    no cache, so no full-set layer array exists while the whole set is scored,
+    however many CPUs the process may use."""
 
     @pytest.fixture(scope="class")
     def scored(self):
@@ -1245,7 +1246,8 @@ class TestScoreMemory:
     def test_scoring_peaks_at_about_one_forward(self, scored):
         model, ds = scored
         one_forward = traced_peak(network.forward, model, ds.inputs)
-        assert traced_peak(cli._score, model, ds) < 1.25 * one_forward
+        with usable_cpus(64):
+            assert traced_peak(cli._score, model, ds) < 1.25 * one_forward
 
     def test_forward_holds_pre_act_and_one_temporary(self, scored):
         model, ds = scored
@@ -1257,4 +1259,5 @@ class TestScoreMemory:
         model = network.init_model(32, [64, 10], make_cube(1000), 0)
         ds = data.make_blobs(1000, 32, 10, 1.0, 6.0, 3)
         one_forward = traced_peak(network.forward, model, ds.inputs)
-        assert traced_peak(cli._score, model, ds) < 0.6 * one_forward
+        with usable_cpus(64):  # as many shares of blocks as embed runs on any host
+            assert traced_peak(cli._score, model, ds) < 0.6 * one_forward

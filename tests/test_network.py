@@ -415,6 +415,8 @@ class TestPredict:
 
 # Row counts that embed's checks run, around one, two and three blocks
 EMBED_ROWS = (1, 767, 768, 769, 1535, 1536, 1537, 2304, 10000)
+# Those of them that make two blocks or more, where embed may start a thread
+SHARED_ROWS = tuple(n for n in EMBED_ROWS if len(score_blocks(n)) > 1)
 
 
 def block_models(rng):
@@ -432,10 +434,11 @@ def block_models(rng):
 def check_block_bits():
     """Asserts that each block of ``score_blocks`` has the bits of the same
     rows of the whole product, that ``classify`` is the whole product's
-    argmax, and that ``embed`` on one and on two CPUs has the bits of one
-    full-set ``forward`` on each of ``block_models``.  The (300, 299) head
-    fails it with SCORE_BLOCK_ROWS = 1024, and the (47, 46) and (300, 299)
-    heads fail it at N = 1538 if the last two rows are a block of their own."""
+    argmax, and that ``embed`` on one CPU, and on two for ``SHARED_ROWS``,
+    has the bits of one full-set ``forward`` on each of ``block_models``.
+    The (300, 299) head fails it with SCORE_BLOCK_ROWS = 1024, and the
+    (47, 46) and (300, 299) heads fail it at N = 1538 if the last two rows
+    are a block of their own."""
     rng = np.random.default_rng(27)
     for head in (make_simplex(10), make_simplex(47), make_cube(1000), make_simplex(300)):
         for n in (1, 2, 1536, 1537, 1538, 3073, 10001):
@@ -449,22 +452,22 @@ def check_block_bits():
         for n in EMBED_ROWS:
             x = rng.normal(size=(n, model.input_dim))
             whole = forward(model, x)[0]
-            for cpus in (1, 2):
+            for cpus in (1, 2) if n in SHARED_ROWS else (1,):
                 with usable_cpus(cpus):
                     assert np.array_equal(embed(model, x), whole), \
                         (model.input_dim, model.head.trainable, n, cpus)
 
 
 def check_concurrent_bits(repeats=3):
-    """Asserts that ``embed`` on two and on eight CPUs, run ``repeats`` times,
-    has the bits of ``embed`` on one, on each of ``block_models``, while the
-    interpreter switches threads every microsecond."""
+    """Asserts that ``embed`` of ``SHARED_ROWS`` rows on two and on eight CPUs,
+    run ``repeats`` times, has the bits of ``embed`` on one, on each of
+    ``block_models``, while the interpreter switches threads every microsecond."""
     rng = np.random.default_rng(31)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for model in block_models(rng):
-            for n in EMBED_ROWS:
+            for n in SHARED_ROWS:
                 x = rng.normal(size=(n, model.input_dim))
                 with usable_cpus(1):
                     serial = bits(embed(model, x))
@@ -499,10 +502,12 @@ class TestScoreBlocks:
         # at two BLAS threads, where a product's bits are the BLAS's split of it
         run_check("check_concurrent_bits", 2)
 
-    @pytest.mark.parametrize("rows,cpus", [(767, 2), (767, 8), (10000, 1)])
-    def test_one_share_starts_no_thread(self, monkeypatch, rows, cpus):
+    @pytest.mark.parametrize("rows,cpus,blas_threads", [
+        (767, 2, "1"), (767, 8, "1"), (10000, 1, "1"), (10000, 2, "2"), (10000, 2, None)])
+    def test_one_share_starts_no_thread(self, monkeypatch, rows, cpus, blas_threads):
         # a one-share embed stays on the caller's thread, as the bench's
-        # traced tiny runs need
+        # traced tiny runs need; over a threaded BLAS, or one whose thread count
+        # is not set, two callers would oversubscribe the CPUs
         model = init_model(32, [64, 10], make_cube(1000), seed=29)
         seen = []
 
@@ -512,11 +517,14 @@ class TestScoreBlocks:
 
         monkeypatch.setattr(network, "forward", recorded)
         before = threading.active_count()
-        with usable_cpus(cpus):
+        with usable_cpus(cpus, blas_threads):
             embed(model, np.ones((rows, 32)))
         assert seen == [(threading.get_ident(), before)] * len(score_blocks(rows))
 
-    def test_shares_take_the_blocks_in_turn(self, monkeypatch):
+    @pytest.mark.parametrize("cpus", [2, 64])
+    def test_shares_take_the_blocks_in_turn(self, monkeypatch, cpus):
+        # two shares on any host: each holds one block's layer arrays, so the
+        # memory does not grow with the CPU count
         model = init_model(5, [4, 3], make_simplex(4), seed=8)
         x = np.repeat(np.arange(3072.0)[:, None], 5, axis=1)  # blocks at 0, 768, 1536, 2304
         seen = []
@@ -526,7 +534,7 @@ class TestScoreBlocks:
             return forward(model, rows)
 
         monkeypatch.setattr(network, "forward", recorded)
-        with usable_cpus(2):
+        with usable_cpus(cpus):
             feats = embed(model, x)
         threads = dict(seen)
         assert sorted(threads) == [0, 768, 1536, 2304]
