@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -40,10 +41,10 @@ MAX_TRAIN_STEPS = 10 ** 7
 # gemv, and K x rows <= 1200 (with d >= 32) to a small-matrix kernel.  With one BLAS
 # thread, starts every 768 rows keep the whole product's bits; 1024 do not (K=300, d=299).
 SCORE_BLOCK_ROWS = 1536
-# embed's most shares, each holding one block's cache; one unless every BLAS_THREAD_VARS
-# set is 1, as two callers of a 2-thread BLAS slowed many-class scoring by 30%.
-EMBED_SHARES = 2
+# Each set one must read 1 for _in_turn to use two threads: two callers of a 2-thread
+# BLAS slowed many-class scoring by 30%.  A step splits arrays of SPLIT_ENTRIES or more.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+SPLIT_ENTRIES = 1 << 16
 
 
 class CacheError(ValueError):
@@ -116,6 +117,55 @@ def _inputs(model: MlpModel, batch: np.ndarray) -> np.ndarray:
     return x
 
 
+# _in_turn's worker, started by its first task and kept; a forked child makes its own
+_WORKER, _WORKER_BUSY = ThreadPoolExecutor(1), threading.Lock()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=lambda: globals().update(
+        _WORKER=ThreadPoolExecutor(1), _WORKER_BUSY=threading.Lock()))
+
+
+def _two_shares() -> bool:
+    """Two usable CPUs, each set one of BLAS_THREAD_VARS 1 (one at least), a free worker."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    blas = {os.environ.get(var) for var in BLAS_THREAD_VARS} - {None}
+    return (cpus or 1) > 1 and blas == {"1"} and not _WORKER_BUSY.locked()
+
+
+def _in_turn(work, parts) -> None:
+    """``work(part)`` for each of ``parts``, dealt in turn to the caller and the worker
+    if ``_two_shares``, else all on the caller, so that a nested or concurrent call
+    never waits.  Both shares have ended when this returns or raises."""
+    if len(parts) < 2 or not _two_shares() or not _WORKER_BUSY.acquire(blocking=False):
+        for part in parts:
+            work(part)
+        return
+    err = np.geterr()
+
+    def share(mine) -> None:
+        with np.errstate(**err):  # a new thread starts with numpy's defaults
+            for part in mine:
+                work(part)
+
+    try:
+        done = _WORKER.submit(share, parts[1::2])
+        try:
+            share(parts[::2])
+        finally:
+            done.exception()  # waits for the worker's share
+        done.result()
+    finally:
+        _WORKER_BUSY.release()
+
+
+def _halves(n: int, entries: int) -> List[slice]:
+    """``[0, n)`` cut at the multiple of 8 at or below n / 2 if ``_two_shares``, entries
+    >= SPLIT_ENTRIES, n % 8 == 0 and each half holds 64 rows: the cuts that kept bits."""
+    half = n // 16 * 8
+    if entries < SPLIT_ENTRIES or n % 8 or half < 64 or not _two_shares():
+        return [slice(0, n)]
+    return [slice(0, half), slice(half, n)]
+
+
 def forward(model: MlpModel, batch: np.ndarray):
     """Returns (features, cache); the loss kinds score the features against
     the head.  The cache holds each layer's input and ``pre`` and is read
@@ -130,11 +180,15 @@ def forward(model: MlpModel, batch: np.ndarray):
     cache = []
     act = _inputs(model, batch)
     for layer in model.layers:
-        pre = np.add((layer.w @ act.T).T, layer.b, out=np.empty((len(act), len(layer.b))))
+        pre, out = (np.empty((len(act), len(layer.b))) for _ in range(2))
+        def rows(part):  # the same expressions as on the whole batch
+            p, a = pre[part], out[part]
+            np.add((layer.w @ act[part].T).T, layer.b, out=p)
+            np.multiply(np.minimum(p, 0.0, out=a), layer.slope, out=a)
+            a += np.maximum(p, 0.0)
+        _in_turn(rows, _halves(len(act), layer.w.size))
         cache.append((act, pre))
-        act = np.minimum(pre, 0.0)
-        act *= layer.slope
-        act += np.maximum(pre, 0.0)
+        act = out
     return act, cache
 
 
@@ -168,7 +222,10 @@ def backward(model: MlpModel, cache, grad_features: np.ndarray,
         grad_pre += ~neg
         grad_pre *= grad_act
         grad_slope = (grad_act * pre * neg).sum(axis=0)
-        grads[:0] = [grad_pre.T @ x_in, grad_pre.sum(axis=0), grad_slope]
+        grad_w = np.empty(layer.w.shape)  # split by units where x_in's width % 8 == 0
+        _in_turn(lambda part: np.matmul(grad_pre[:, part].T, x_in, out=grad_w[part]),
+                 _halves(len(grad_w), grad_w.size if x_in.shape[1] % 8 == 0 else 0))
+        grads[:0] = [grad_w, grad_pre.sum(axis=0), grad_slope]
         if i:  # the gradient of the inputs is not needed
             grad_act = grad_pre @ layer.w
     return grads + [grad_rows] if model.head.trainable else grads
@@ -195,12 +252,15 @@ def adam_step(model: MlpModel, grads: List[np.ndarray], state: AdamState):
         state.m = [np.zeros_like(p) for p in params]
         state.v = [np.zeros_like(p) for p in params]
     state.t += 1
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m += (1.0 - ADAM_BETA1) * (g - m)
-        v += (1.0 - ADAM_BETA2) * (g * g - v)
-        m_hat = m / (1.0 - ADAM_BETA1 ** state.t)
-        v_hat = v / (1.0 - ADAM_BETA2 ** state.t)
-        p -= state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    for arrays in zip(params, grads, state.m, state.v):
+        def rows(part):
+            p, g, m, v = (a[part] for a in arrays)
+            m += (1.0 - ADAM_BETA1) * (g - m)
+            v += (1.0 - ADAM_BETA2) * (g * g - v)
+            m_hat = m / (1.0 - ADAM_BETA1 ** state.t)
+            v_hat = v / (1.0 - ADAM_BETA2 ** state.t)
+            p -= state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        _in_turn(rows, _halves(len(arrays[0]), arrays[0].size))
 
 
 def score_blocks(n: int) -> List[tuple]:
@@ -226,25 +286,15 @@ def classify(head: ClassifierWeights, features: np.ndarray) -> np.ndarray:
 def embed(model: MlpModel, batch: np.ndarray) -> np.ndarray:
     """``forward(model, batch)[0]`` with no cache, one ``score_blocks`` block of
     rows at a time into one N x d array, with its bits at one BLAS thread.  The
-    caller and at most one thread (see ``EMBED_SHARES``) take the blocks in turn
-    under the caller's errstate, and both have ended when this returns or raises."""
+    blocks go through ``_in_turn``, and both of its shares have ended when this
+    returns or raises."""
     x = _inputs(model, batch)
     feats = np.empty((len(x), model.head.dim))
-    blocks = score_blocks(len(x))
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    blas = {os.environ.get(var) for var in BLAS_THREAD_VARS} - {None}
-    shares = min(cpus or 1, len(blocks), EMBED_SHARES if blas == {"1"} else 1)
-    err = np.geterr()
 
-    def run(share: int) -> None:
-        with np.errstate(**err):  # a new thread starts with numpy's defaults
-            for start, stop in blocks[share::shares]:
-                feats[start:stop] = forward(model, x[start:stop])[0]
+    def block(rows):
+        feats[rows] = forward(model, x[rows])[0]
 
-    with ThreadPoolExecutor(1) as pool:  # starts its thread only when one is mapped
-        done = pool.map(run, range(1, shares))
-        run(0)
-        list(done)  # waits for the thread and raises what it raised
+    _in_turn(block, [slice(*b) for b in score_blocks(len(x))])
     return feats
 
 

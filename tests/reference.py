@@ -24,6 +24,7 @@ from unittest import mock
 import numpy as np
 
 from polyhead import losses, metrics, network
+from polyhead.data import batches
 from polyhead.losses import AngularMargin, FixedSoftmax, NormScaled, PlainCE
 from polyhead.polytope import ClassifierWeights
 
@@ -52,10 +53,11 @@ def traced_peak(fn, *args):
 
 @contextlib.contextmanager
 def usable_cpus(count, blas_threads="1"):
-    """A context in which, as far as ``network.embed`` asks, the process may run
-    on ``count`` CPUs and each of ``network.BLAS_THREAD_VARS`` reads
-    ``blas_threads``, or none is set when it is None.  The BLAS itself keeps the
-    thread count it read when numpy was first imported."""
+    """A context in which, as far as ``network`` asks before it uses a second
+    thread, the process may run on ``count`` CPUs and each of
+    ``network.BLAS_THREAD_VARS`` reads ``blas_threads``, or none is set when it
+    is None.  The BLAS itself keeps the thread count it read when numpy was
+    first imported."""
     values = {var: blas_threads for var in network.BLAS_THREAD_VARS if blas_threads}
     with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(count)),
                            create=True), mock.patch.dict(os.environ, values):
@@ -326,6 +328,27 @@ def adam_reference(params, steps, lr, beta1=network.ADAM_BETA1,
             v_hat = v[i] / (1.0 - beta2 ** t)
             params[i] = params[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
     return params, m, v, t
+
+
+def train_reference(model, data, config):
+    """``network.train``'s loop with nothing split: each step's ``forward`` and
+    ``adam_step`` on one CPU (``usable_cpus(1)``), its gradients from
+    ``backward_reference``.  Returns the epoch log, the Adam state and every
+    step's gradients, which ``adam_reference`` replays."""
+    state, log, steps = network.AdamState(lr=config.lr), [], []
+    with usable_cpus(1), np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            loss_sum, correct = 0.0, 0
+            for batch in batches(data, config.batch_size, config.seed, epoch):
+                feats, cache = network.forward(model, batch.inputs)
+                res = losses.evaluate(config.loss, model.head, feats, batch.labels)
+                loss_sum += res.value * len(batch)
+                correct += int((network.classify(model.head, feats) == batch.labels).sum())
+                grads = backward_reference(model, cache, res.grad_features)
+                steps.append(grads + [res.grad_weights] if model.head.trainable else grads)
+                network.adam_step(model, steps[-1], state)
+            log.append(network.EpochStats(epoch, loss_sum / len(data), correct / len(data)))
+    return log, state, steps
 
 
 def naive_forward(model, x):

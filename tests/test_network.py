@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 import os
@@ -7,20 +8,21 @@ import sys
 import threading
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from polyhead import losses, network, polytope
-from polyhead.data import batches, make_blobs
+from polyhead.data import LabeledBatch, batches, make_blobs
 from polyhead.network import (AdamState, CacheError, TrainConfig, adam_step,
                               backward, classify, embed, forward, init_model,
                               parameters, predict, score_blocks, train)
 from polyhead.polytope import ClassifierWeights, make_cube, make_orthoplex, make_simplex
 from reference import (adam_reference, backward_reference, bits, eye_head,
                        full_model_grad_check, naive_forward, prelu_reference,
-                       resolvable_models, traced_peak, usable_cpus)
+                       resolvable_models, traced_peak, train_reference, usable_cpus)
 
 # PReLU slopes in [-2, 2], with 0, -0 and 1 as draws of their own, and the
 # pre-activations planted through a zero weight row's bias: zeros and subnormals
@@ -479,6 +481,141 @@ def check_concurrent_bits(repeats=3):
         sys.setswitchinterval(interval)
 
 
+# Batch sizes of the step checks: the first four split the 784 -> 256 layer's
+# forward on two CPUs, the last three (not a multiple of 8, or too few rows) do not
+SPLIT_BATCHES = (512, 272, 264, 136)
+WHOLE_BATCHES = (500, 129, 3)
+
+
+def step_models(seed):
+    """784 -> 256 -> 9 on simplex-10 and 784 -> 256 -> 46 on simplex-47, fixed and
+    trainable, each with its config's loss."""
+    for classes in (10, 47):
+        head = make_simplex(classes)
+        for trainable in (False, True):
+            yield (init_model(784, [256, classes - 1], head, seed=seed, trainable=trainable),
+                   losses.AngularMargin(30.0, head.phi))
+
+
+def images(rows, classes, seed):
+    """``rows`` synthetic images of 784 pixels in [0, 1] with labels in [0, classes)."""
+    rng = np.random.default_rng(seed)
+    return LabeledBatch(rng.integers(0, 256, (rows, 784)) / 255.0,
+                        rng.integers(0, classes, rows))
+
+
+def split_parts(run):
+    """The count of ``_in_turn``'s calls with two parts while ``run()`` runs, and
+    what it returned."""
+    calls = []
+    in_turn = network._in_turn
+
+    def recorded(work, parts):
+        calls.append(len(parts))
+        in_turn(work, parts)
+
+    with mock.patch.object(network, "_in_turn", recorded):
+        result = run()
+    return calls.count(2), result
+
+
+def check_step_bits():
+    """Asserts that ``train`` on one, two and 64 CPUs gives the same parameters,
+    epoch log, Adam moments and ``embed`` features, bit for bit, and the bits of
+    ``train_reference``'s unsplit loop, whose Adam steps ``adam_reference``
+    replays to 1e-12 of each array's largest entry.  Each config trains for two
+    epochs: every one of ``step_models`` at batch 512, and the fixed simplex-10 and
+    trainable simplex-47 ones at every batch size of SPLIT_BATCHES and
+    WHOLE_BATCHES (a head's rows are too few to split).  The first model at batch
+    512 trains on 3,000 synthetic images; the rest, to keep the check within
+    seconds, on the first b + 8 of them, one full batch and an 8-row one an epoch.
+    On two CPUs or more each step splits its 784 -> 256 layer's weight gradient
+    and Adam update, and its forward when the batch's row count is a multiple of 8
+    from 128.
+    The splits that ``_halves`` leaves whole are those that changed bits in
+    sweeps with one BLAS thread (OpenBLAS 0.3.31, 2-vCPU Xeon): the 784 -> 256
+    product split at n // 2 rows broke them at 801 of the row counts 2 to 1,099;
+    with the split point the multiple of 8 at or below half, at 161 counts from
+    193 to 375 rows, none a multiple of 8; the 256 -> 9 product, split so, at
+    every multiple of 8 from 136 to 264 rows (halves of 64 to 136 rows); and the
+    weight gradient split by units, on 795 input widths from 193 to 1,100, none
+    a multiple of 8.  Aligned splits of multiples of 8 from 128 to 2,048 rows
+    kept the bits of nine layers of 2^16 entries or more (256 x 784 among them),
+    and of five narrow ones as large (9 x 8,192 to 46 x 1,500)."""
+    for index, (start, loss) in enumerate(step_models(43)):
+        head = start.head
+        data = images(3000, head.num_classes, 44)
+        for batch_size in SPLIT_BATCHES + WHOLE_BATCHES if index in (0, 3) else (512,):
+            rows = 3000 if index == 0 and batch_size == 512 else batch_size + 8
+            subset = LabeledBatch(data.inputs[:rows], data.labels[:rows])
+            config = TrainConfig(loss, epochs=2, seed=45, batch_size=batch_size, lr=5e-4)
+            where = (head.num_classes, head.trainable, batch_size)
+            models = [copy.deepcopy(start) for _ in range(4)]
+            first = [p.copy() for p in parameters(start)]
+            log, state, steps = train_reference(models[0], subset, config)
+            params, m, v, _ = adam_reference(first, steps, config.lr)
+            for a, e in zip(parameters(models[0]) + state.m + state.v, params + m + v,
+                            strict=True):  # m crosses zero
+                assert (abs(a - e) <= 1e-12 * (abs(e) + abs(e).max())).all(), where
+            with usable_cpus(1):
+                expected = ([bits(p) for p in parameters(models[0])], log,
+                            [bits(a) for a in state.m + state.v],
+                            bits(embed(models[0], subset.inputs)))
+            # a step splits its weight gradient, Adam's first weights and the
+            # forward of a batch of a multiple of 8 rows, with 64 in each half
+            sizes = [len(b) for e in range(2) for b in batches(subset, batch_size, 45, e)]
+            parts = sum(3 if n % 8 == 0 and n >= 128 else 2 for n in sizes)
+            for cpus, model in zip((1, 2, 64), models[1:]):
+                states = []
+
+                def step(model, grads, state):
+                    states.append(state)
+                    adam_step(model, grads, state)
+
+                with usable_cpus(cpus), mock.patch.object(network, "adam_step", step):
+                    split, (_, got_log) = split_parts(lambda: train(model, subset, config))
+                    got = ([bits(p) for p in parameters(model)], got_log,
+                           [bits(a) for a in states[0].m + states[0].v],
+                           bits(embed(model, subset.inputs)))
+                assert got == expected, (*where, cpus)
+                assert split == (parts if cpus > 1 else 0), (*where, cpus, split)
+
+
+def check_concurrent_train():
+    """Asserts that two Python threads, each training its own paper-shape model at
+    once on two CPUs, get the bits of training it on one, while the interpreter
+    switches threads every microsecond: the one that finds the worker busy runs
+    its step on its own thread."""
+    start, loss = next(step_models(46))
+    data = images(512, start.head.num_classes, 47)
+    config = TrainConfig(loss, epochs=2, seed=48, batch_size=256, lr=5e-4)
+    serial = copy.deepcopy(start)
+    with usable_cpus(1):
+        log = train(serial, data, config)[1]
+    models = [copy.deepcopy(start) for _ in range(2)]
+    logs = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with usable_cpus(2):
+            threads = [threading.Thread(target=lambda i=i: logs.update({i: train(
+                models[i], data, config)[1]})) for i in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert logs == {0: log, 1: log}
+    for model in models:
+        assert [bits(p) for p in parameters(model)] == [bits(p) for p in parameters(serial)]
+
+
+def check_training_bits():
+    check_step_bits()
+    check_concurrent_train()
+
+
 def run_check(check: str, blas_threads: int) -> None:
     """Runs ``check`` of this module in a fresh interpreter whose BLAS has
     ``blas_threads`` threads, read when numpy is first imported."""
@@ -521,6 +658,77 @@ class TestScoreBlocks:
             embed(model, np.ones((rows, 32)))
         assert seen == [(threading.get_ident(), before)] * len(score_blocks(rows))
 
+    def test_training_keeps_the_unsplit_bits(self):
+        # serial and concurrent training in one interpreter, which takes half a
+        # second to start
+        run_check("check_training_bits", 1)
+
+    @pytest.mark.parametrize("cpus,blas_threads", [(1, "1"), (2, "2"), (2, None)])
+    def test_one_share_runs_every_step_part_on_the_caller(self, monkeypatch, cpus,
+                                                          blas_threads):
+        # one paper-shape train step, whose first layer splits on two CPUs over
+        # a one-thread BLAS
+        start, loss = next(step_models(49))
+        data = images(512, 10, 50)
+        seen = []
+        in_turn = network._in_turn
+
+        def recorded(work, parts):
+            def part_on_its_thread(part):
+                seen.append((len(parts), threading.get_ident(), threading.active_count()))
+                work(part)
+            in_turn(part_on_its_thread, parts)
+
+        monkeypatch.setattr(network, "_in_turn", recorded)
+        before = threading.active_count()
+        with usable_cpus(cpus, blas_threads):
+            train(start, data, TrainConfig(loss, epochs=1, seed=51, batch_size=512, lr=5e-4))
+        # two layers' forward and backward, and six parameters' Adam updates
+        assert seen == [(1, threading.get_ident(), before)] * 10
+
+    def test_embed_on_two_cpus_does_not_wait_for_itself(self):
+        # each 768-row block's forward would split its 784 -> 256 layer, but the
+        # blocks hold the worker, so each block runs whole on its own thread
+        start, _ = next(step_models(52))
+        x = images(3072, 10, 53).inputs
+        with usable_cpus(1):
+            serial = bits(embed(start, x))
+        result = []
+        with usable_cpus(2):
+            thread = threading.Thread(
+                target=lambda: result.append(split_parts(lambda: embed(start, x))),
+                daemon=True)
+            thread.start()
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+        split, feats = result[0]
+        assert split == 0 and bits(feats) == serial
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_a_failing_part_raises_after_both_shares_ended(self, failing):
+        events = []
+
+        def part(index):
+            events.append(("start", index, threading.get_ident()))
+            try:
+                if index == failing:
+                    raise RuntimeError(f"part {index}")
+                time.sleep(0.05)
+            finally:
+                events.append(("end", index, threading.get_ident()))
+
+        with usable_cpus(2):
+            with pytest.raises(RuntimeError, match=f"^part {failing}$"):
+                network._in_turn(part, [0, 1])
+            assert sorted(event[:2] for event in events) == [
+                ("end", 0), ("end", 1), ("start", 0), ("start", 1)]
+            worker = {index: ident for _, index, ident in events}[1]
+            assert worker != threading.get_ident()
+            events.clear()
+            network._in_turn(part, [2, 3])  # the next call still uses the worker
+        assert {index: ident for _, index, ident in events} == {
+            2: threading.get_ident(), 3: worker}
+
     @pytest.mark.parametrize("cpus", [2, 64])
     def test_shares_take_the_blocks_in_turn(self, monkeypatch, cpus):
         # two shares on any host: each holds one block's layer arrays, so the
@@ -560,6 +768,8 @@ class TestScoreBlocks:
             finally:
                 events.append(("end", block))
 
+        with usable_cpus(2):
+            embed(model, x)  # starts the worker, which the process keeps
         monkeypatch.setattr(network, "forward", slow_or_failing)
         before = threading.active_count()
         with usable_cpus(2), pytest.raises(RuntimeError, match=f"^block {failing}$"):
