@@ -28,7 +28,7 @@ import numpy as np
 from . import data as datamod
 from . import losses, metrics, network
 from .polytope import (DEFAULT_TOL, PolytopeKind, json_field, load_json, make_weights,
-                       save_json, verify_geometry)
+                       read_json, save_json, verify_geometry)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -109,23 +109,27 @@ def _parse_loss(section, phi: float) -> tuple:
     return kind, {"kind": name, **dataclasses.asdict(kind)}
 
 
-def _load_dataset(section: dict) -> datamod.LabeledBatch:
+def _load_dataset(section: dict, classes: int, owner: str) -> datamod.LabeledBatch:
+    """A "blobs" or "idx" section's dataset, its labels below ``owner``'s ``classes``."""
     kind = section.get("type")
     if kind not in ("blobs", "idx"):
         raise ConfigError(f"dataset type must be 'blobs' or 'idx', got {kind!r}")
     values = _section(section, kind)
     if kind == "blobs":
-        return datamod.make_blobs(*list(values.values())[1:])
-    batch = datamod.load_idx(values["images"], values["labels"],
-                             emnist=values["emnist"])
-    limit = values["limit"]
-    if limit is not None and limit < 1:
-        raise ConfigError(f"dataset limit must be at least 1, got {limit}")
-    return datamod.LabeledBatch(batch.inputs[:limit], batch.labels[:limit])
+        dataset = datamod.make_blobs(*list(values.values())[1:])
+    else:
+        dataset = datamod.load_idx(values["images"], values["labels"], emnist=values["emnist"])
+        if (limit := values["limit"]) is not None and limit < 1:
+            raise ConfigError(f"dataset limit must be at least 1, got {limit}")
+        dataset = datamod.LabeledBatch(dataset.inputs[:limit], dataset.labels[:limit])
+    if dataset.labels.max() >= classes:
+        raise ConfigError(f"dataset label {dataset.labels.max()} needs more than "
+                          f"the {owner}'s {classes} classes")
+    return dataset
 
 
-# eval's --blobs-* flags: make_blobs' arguments in order, with the value used
-# for a flag not given (None for --blobs-classes, which selects blobs data).
+# eval's --blobs-* flags, one per blobs key after "type", and the value used for
+# a flag not given (None for --blobs-classes, which selects blobs data).
 _EVAL_BLOBS = {"classes": None, "dim": 2, "per_class": 100, "spread": 1.0,
                "separation": 6.0, "seed": 0}
 
@@ -179,8 +183,8 @@ def cmd_check(args) -> int:
 
 def cmd_train(args) -> int:
     with _reading():
-        config = json.loads(Path(args.config).read_text())
-        cfg = _section(json_field(config, None, dict, "config"), "config")
+        config = read_json(args.config, "config")
+        cfg = _section(config, "config")
         out_dir = Path(args.out_dir or cfg["out_dir"])
         if "\0" in str(out_dir):  # Path.exists reads such a path as absent
             raise ConfigError(f"out_dir must not hold a NUL character, got {str(out_dir)!r}")
@@ -188,7 +192,7 @@ def cmd_train(args) -> int:
         classifier = _section(cfg["classifier"], "classifier")
         weights = make_weights(PolytopeKind(classifier["kind"]), classifier["classes"])
         loss_kind, loss_echo = _parse_loss(cfg["loss"], weights.phi)
-        dataset = _load_dataset(cfg["dataset"])
+        dataset = _load_dataset(cfg["dataset"], weights.num_classes, "classifier")
 
         hidden = cfg["hidden_widths"]
         if not hidden or hidden[-1] != weights.dim:
@@ -202,9 +206,6 @@ def cmd_train(args) -> int:
                               f"MAX_TRAIN_STEPS ({network.MAX_TRAIN_STEPS}) steps")
         if not (math.isfinite(cfg["lr"]) and cfg["lr"] >= 0):
             raise ConfigError(f"lr must be finite and at least 0, got {cfg['lr']}")
-        if dataset.labels.max() >= weights.num_classes:
-            raise ConfigError(f"dataset label {dataset.labels.max()} needs more than "
-                              f"the classifier's {weights.num_classes} classes")
         train_cfg = network.TrainConfig(loss=loss_kind, epochs=cfg["epochs"],
                                         seed=cfg["seed"], batch_size=cfg["batch_size"],
                                         lr=cfg["lr"])
@@ -239,30 +240,24 @@ def cmd_eval(args) -> int:
     if bool(args.images) != bool(args.labels):
         raise ConfigError("--images needs --labels" if args.images
                           else "--labels needs --images")
-    blobs = {key: getattr(args, f"blobs_{key}") for key in _EVAL_BLOBS}
+    given = {key: value for key in _EVAL_BLOBS
+             if (value := getattr(args, f"blobs_{key}")) is not None}
+    section = {"type": "blobs", **_EVAL_BLOBS, **given}  # the section a config would hold
     if args.images:
-        unused = [f"--blobs-{key.replace('_', '-')}" for key, value in blobs.items()
-                  if value is not None]
-        if unused:
-            raise ConfigError(f"{', '.join(unused)} cannot be used with --images")
-    elif args.blobs_classes is None:
+        if given:
+            raise ConfigError(", ".join(f"--blobs-{key.replace('_', '-')}" for key in given)
+                              + " cannot be used with --images")
+        section = dict(type="idx", images=args.images, labels=args.labels, emnist=args.emnist)
+    elif "classes" not in given:
         raise ConfigError("provide --images/--labels or --blobs-* options")
     elif args.emnist:
         raise ConfigError("--emnist needs --images")
     with _reading():
         model = network.load_checkpoint(args.checkpoint)
-        if args.images:
-            dataset = datamod.load_idx(args.images, args.labels,
-                                       emnist=args.emnist)
-        else:
-            dataset = datamod.make_blobs(*(_EVAL_BLOBS[key] if value is None else value
-                                           for key, value in blobs.items()))
+        dataset = _load_dataset(section, model.head.num_classes, "checkpoint")
         if dataset.inputs.shape[1] != model.input_dim:
             raise ConfigError(f"dataset input dim {dataset.inputs.shape[1]} != "
                               f"checkpoint input dim {model.input_dim}")
-        if dataset.labels.max() >= model.head.num_classes:
-            raise ConfigError(f"dataset label {dataset.labels.max()} needs more than "
-                              f"the checkpoint's {model.head.num_classes} classes")
     _, report = _score(model, dataset)
     print(f"accuracy={report.accuracy:.4f}")
     print(f"min_pairwise_mean_angle={report.min_pairwise_mean_angle:.6f}")

@@ -22,7 +22,8 @@ import numpy as np
 from . import losses
 from .data import LabeledBatch, batches
 from .polytope import (ClassifierWeights, StructuralError, decode_array, encode_array,
-                       json_field, from_dict as weights_from_dict, to_dict as weights_to_dict)
+                       json_field, read_json, from_dict as weights_from_dict,
+                       to_dict as weights_to_dict)
 
 PRELU_SLOPE_INIT = 0.25
 ADAM_BETA1 = 0.9
@@ -381,5 +382,4 @@ def save_checkpoint(model: MlpModel, path, extra: Optional[dict] = None) -> None
 
 
 def load_checkpoint(path) -> MlpModel:
-    with open(path) as fh:
-        return model_from_dict(json_field(json.load(fh), None, dict, "checkpoint"))
+    return model_from_dict(read_json(path, "checkpoint"))

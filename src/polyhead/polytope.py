@@ -356,6 +356,11 @@ def save_json(weights: ClassifierWeights, path) -> None:
     Path(path).write_text(json.dumps(to_dict(weights)))
 
 
-def load_json(path) -> ClassifierWeights:
+def read_json(path, what: str) -> dict:
+    """The JSON object in the file at ``path``: the one reader of a JSON input file."""
     with open(path) as fh:
-        return from_dict(json_field(json.load(fh), None, dict, "head file"))
+        return json_field(json.load(fh), None, dict, what)
+
+
+def load_json(path) -> ClassifierWeights:
+    return from_dict(read_json(path, "head file"))

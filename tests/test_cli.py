@@ -409,8 +409,11 @@ class TestTrain:
         ({"dataset": {"type": "blobs", "classes": 4, "dim": 3, "per_class": 100,
                       "spread": 1.0, "separation": 6.0, "seed": -3}},
          "seed must be at least 0, got -3"),
+        ({"dataset": {"type": "blobs", "classes": 5, "dim": 3, "per_class": 100,
+                      "spread": 1.0, "separation": 6.0, "seed": 6}},
+         "dataset label 4 needs more than the classifier's 4 classes"),
     ], ids=["kappa_nan", "kappa_inf", "lr_negative", "lr_nan", "blobs_spread_nan",
-            "seed_negative", "blobs_seed_negative"])
+            "seed_negative", "blobs_seed_negative", "labels_exceed_classes"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_out_of_range_value_named(self, tmp_path, capsys, overrides, rule):
         path, _ = blob_config(tmp_path, **overrides)
@@ -619,7 +622,7 @@ class TestTrain:
             dataset={"type": "blobs", "classes": 1000, "dim": 12, "per_class": 2,
                      "spread": 1.0, "separation": 6.0, "seed": 6})
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]),
-                   OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+                   **dict.fromkeys(network.BLAS_THREAD_VARS, "1"))
         for name in ("a", "b"):
             out = tmp_path / name
             for args in (["train", "--config", str(path), "--out-dir", str(out)],

@@ -3,6 +3,7 @@ import itertools
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import threading
@@ -619,10 +620,8 @@ def check_training_bits():
 def run_check(check: str, blas_threads: int) -> None:
     """Runs ``check`` of this module in a fresh interpreter whose BLAS has
     ``blas_threads`` threads, read when numpy is first imported."""
-    threads = str(blas_threads)
     env = dict(os.environ, PYTHONPATH=str(Path(network.__file__).parents[1]),
-               OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-               MKL_NUM_THREADS=threads)
+               **dict.fromkeys(network.BLAS_THREAD_VARS, str(blas_threads)))
     proc = subprocess.run([sys.executable, "-c", f"import test_network; test_network.{check}()"],
                           cwd=Path(__file__).parent, env=env, capture_output=True,
                           text=True, timeout=300)
@@ -728,6 +727,37 @@ class TestScoreBlocks:
             network._in_turn(part, [2, 3])  # the next call still uses the worker
         assert {index: ident for _, index, ident in events} == {
             2: threading.get_ident(), 3: worker}
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+    def test_a_forked_child_starts_its_own_worker(self):
+        # the worker's thread is not copied into a child, so without the fork
+        # handler the child's two-share call waits for it until it is killed
+        idents = {}
+
+        def part(index):
+            idents[index] = threading.get_ident()
+
+        with usable_cpus(2):
+            network._in_turn(part, [0, 1])  # starts the worker, if no test has
+            assert idents[1] != threading.get_ident()
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    idents.clear()
+                    network._in_turn(part, [0, 1])
+                    code = int(idents[1] == threading.get_ident())
+                finally:
+                    os._exit(code)
+        deadline = time.monotonic() + 30
+        while not (ended := os.waitpid(pid, os.WNOHANG))[0] and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if not ended[0]:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        assert ended[0] == pid, "the forked child did not end within 30 s"
+        assert os.waitstatus_to_exitcode(ended[1]) == 0
 
     @pytest.mark.parametrize("cpus", [2, 64])
     def test_shares_take_the_blocks_in_turn(self, monkeypatch, cpus):

@@ -37,6 +37,8 @@ import os
 import sys
 from pathlib import Path
 
+from inprocess import import_polyhead
+
 HEAD_CLASSES = (2, 10, 47, 1000)
 CLASSES = 5
 LOSSES = {
@@ -136,8 +138,7 @@ def main(argv=None) -> int:
                         help="new or empty directory for the artifacts")
     args = parser.parse_args(argv)
     src, out = args.src.resolve(), args.out.resolve()
-    if not (src / "polyhead" / "__init__.py").is_file():
-        print(f"error: no polyhead package under {src}", file=sys.stderr)
+    if not import_polyhead(src):
         return 2
     existing = next(p for p in (out, *out.parents) if p.exists())
     if not existing.is_dir():  # --out is a file, or lies under one
@@ -145,15 +146,6 @@ def main(argv=None) -> int:
         return 2
     if existing == out and any(out.iterdir()):
         print(f"error: {out} is not empty", file=sys.stderr)
-        return 2
-    # one BLAS thread, read when numpy is first imported, for stable bits
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = "1"
-    sys.path.insert(0, str(src))
-    import polyhead
-    if Path(polyhead.__file__).resolve().parent != src / "polyhead":
-        print(f"error: polyhead imported from {polyhead.__file__}, not {src}",
-              file=sys.stderr)
         return 2
 
     out.mkdir(parents=True, exist_ok=True)

@@ -18,12 +18,11 @@ angle search of a parent and a change::
 from __future__ import annotations
 
 import argparse
-import os
-import statistics
 import sys
-import time
 import tracemalloc
 from pathlib import Path
+
+from inprocess import import_polyhead, median_ms
 
 CLASS_COUNTS = {"full": (47, 300, 1000, 2000, 5000), "tiny": (47, 300)}
 # (K, d) of the random unit row sets
@@ -54,19 +53,14 @@ def inputs(size: str):
 def time_check(weights, repeats: int) -> tuple:
     """The median time of ``repeats`` checks in ms, and one check's traced peak in MB."""
     from polyhead.polytope import verify_geometry
-    verify_geometry(weights)
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        verify_geometry(weights)
-        times.append(time.perf_counter() - start)
+    ms = median_ms(lambda: verify_geometry(weights), repeats)
     tracemalloc.start()
     try:
         verify_geometry(weights)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return statistics.median(times) * 1e3, peak / 1e6
+    return ms, peak / 1e6
 
 
 def main(argv=None) -> int:
@@ -76,17 +70,7 @@ def main(argv=None) -> int:
     parser.add_argument("--size", choices=("full", "tiny"), default="full")
     args = parser.parse_args(argv)
     src, repeats = args.src.resolve(), REPEATS[args.size]
-    if not (src / "polyhead" / "__init__.py").is_file():
-        print(f"error: no polyhead package under {src}", file=sys.stderr)
-        return 2
-    # one BLAS thread, read when numpy is first imported
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = "1"
-    sys.path.insert(0, str(src))
-    import polyhead
-    if Path(polyhead.__file__).resolve().parent != src / "polyhead":
-        print(f"error: polyhead imported from {polyhead.__file__}, not {src}",
-              file=sys.stderr)
+    if not import_polyhead(src):
         return 2
 
     print(f"# verify_geometry: median of {repeats} calls, 1 BLAS thread; "

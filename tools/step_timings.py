@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import argparse
 import os
-import statistics
 import sys
-import time
 from pathlib import Path
+
+from inprocess import import_polyhead, median_ms
 
 # (input dim, hidden widths, classes of the simplex head)
 BACKBONES = {"full": [(784, [256, 9], 10), (784, [256, 46], 47)],
@@ -32,17 +32,6 @@ BATCH_ROWS = 512
 REPEATS = {"full": 21, "tiny": 3}
 EPOCH_ROWS = {"full": 10_000, "tiny": 1024}
 EPOCH_REPEATS = {"full": 5, "tiny": 1}
-
-
-def median_ms(fn, repeats: int) -> float:
-    """The median time of ``repeats`` calls of ``fn`` in ms, after one warm-up call."""
-    fn()
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    return statistics.median(times) * 1e3
 
 
 def time_backbone(input_dim: int, widths: list, classes: int, size: str) -> tuple:
@@ -78,17 +67,7 @@ def main(argv=None) -> int:
     parser.add_argument("--size", choices=("full", "tiny"), default="full")
     args = parser.parse_args(argv)
     src = args.src.resolve()
-    if not (src / "polyhead" / "__init__.py").is_file():
-        print(f"error: no polyhead package under {src}", file=sys.stderr)
-        return 2
-    # one BLAS thread, read when numpy is first imported
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = "1"
-    sys.path.insert(0, str(src))
-    import polyhead
-    if Path(polyhead.__file__).resolve().parent != src / "polyhead":
-        print(f"error: polyhead imported from {polyhead.__file__}, not {src}",
-              file=sys.stderr)
+    if not import_polyhead(src):
         return 2
 
     usable = sorted(os.sched_getaffinity(0))
